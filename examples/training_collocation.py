@@ -27,7 +27,7 @@ from repro.runtime.client import ClientContext
 from repro.runtime.host import HostGil, HostThread
 from repro.sim.engine import Simulator
 from repro.workloads.clients import TrainingClient
-from repro.workloads.models import get_plan
+from repro.workloads import build_plan
 
 HP_MODEL, BE_MODEL = "resnet50", "mobilenet_v2"
 
@@ -50,7 +50,7 @@ def run_with_tuner(duration: float = 6.0):
     for model, high_priority in ((HP_MODEL, True), (BE_MODEL, False)):
         ctx = ClientContext(backend, f"{model}-train", HostThread(sim, gil=gil),
                             high_priority=high_priority, kind="training")
-        client = TrainingClient(sim, ctx, get_plan(model, "training"),
+        client = TrainingClient(sim, ctx, build_plan(model, "training"),
                                 V100_16GB, f"{model}-train", horizon=duration)
         clients.append(client)
 

@@ -14,13 +14,12 @@ Public entry points:
 __version__ = "1.0.0"
 
 from repro.core import OrionBackend, OrionConfig
-from repro.experiments import ExperimentConfig, JobSpec, run_experiment
+from repro.experiments import ExperimentConfig, JobSpec
 
 __all__ = [
     "OrionBackend",
     "OrionConfig",
     "ExperimentConfig",
     "JobSpec",
-    "run_experiment",
     "__version__",
 ]

@@ -77,7 +77,7 @@ class ReefBackend(Backend):
         self._wake = Signal(sim)
         self._started = False
         self.be_kernels_launched = 0
-        self.set_telemetry()
+        self.device.tracer = self.tracer
 
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         info = self._register(client_id, high_priority, kind)
@@ -116,13 +116,7 @@ class ReefBackend(Backend):
         else:
             queue = self._be[client_id].queue
             if queue.full:
-                queue.rejected_total += 1
-                done = Signal(self.sim)
-                done.trigger(None, error=CudaError(
-                    CudaErrorCode.QUEUE_FULL,
-                    f"software queue full (depth {queue.depth}/{queue.max_depth})",
-                    client_id=client_id, time=self.sim.now))
-                return done
+                return queue.reject()
             done = queue.push(op)
         self._wake_scheduler()
         return done

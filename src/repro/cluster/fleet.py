@@ -47,19 +47,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import PriorityStreamsBackend, ReefBackend, StreamsBackend
-from repro.core import OrionBackend, OrionConfig
+from repro.experiments.harness import Harness, client_context, make_backend
 from repro.experiments.runner import get_profile
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, GpuCrash, GpuDegrade, GpuRecover
 from repro.frameworks.lowering import instantiate_plan
 from repro.gpu.device import GpuDevice
-from repro.gpu.specs import DeviceSpec, get_device
+from repro.gpu.specs import DeviceSpec
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.profiler.profiles import ProfileStore
-from repro.runtime.client import ClientContext
-from repro.runtime.host import HostGil, HostThread
+from repro.runtime.host import HostGil
 from repro.sim.engine import Simulator
 from repro.sim.process import Interrupted, Process, Signal, Timeout, spawn
 from repro.sim.rng import RngFactory
@@ -86,10 +84,12 @@ __all__ = [
     "FleetRouter",
     "Fleet",
     "FleetResult",
-    "run_fleet_scenario",
 ]
 
 _ROUND = 9
+
+#: Per-GPU backends a fleet can run (one shared device each).
+_BACKENDS = ("orion", "reef", "streams", "priority-streams")
 
 
 def _r(x: float) -> float:
@@ -383,10 +383,13 @@ class FleetGpu:
         tenant is resident everywhere.
         """
         fleet = self.fleet
-        self.device = GpuDevice(fleet.sim, fleet.device_spec)
-        self.backend = fleet.make_backend(fleet.sim, self.device)
-        self.backend.set_telemetry(tracer=fleet.tracer)
-        self.gil = HostGil(fleet.sim)
+        sim, spec = fleet.sim, fleet.device_spec
+        self.backend = make_backend(
+            fleet.backend_name, sim, lambda: GpuDevice(sim, spec),
+            fleet.store, {"hp_request_latency": fleet.hp_latency},
+            fleet.tracer, choices=_BACKENDS)
+        self.device = self.backend.device
+        self.gil = HostGil(sim)
         self.workers = {}
         self.backend.start()
         for spec in fleet.tenants:
@@ -397,12 +400,9 @@ class FleetGpu:
 
     def spawn_worker(self, spec: TenantSpec) -> _TenantWorker:
         """Create and start one tenant's resident worker on this GPU."""
-        host = HostThread(
-            self.fleet.sim, gil=self.gil,
-            interception_overhead=self.backend.interception_overhead())
-        ctx = ClientContext(self.backend, f"{spec.name}@gpu{self.index}",
-                            host, high_priority=spec.high_priority,
-                            kind="inference")
+        ctx = client_context(self.backend, self.gil,
+                             f"{spec.name}@gpu{self.index}",
+                             spec.high_priority, "inference")
         worker = _TenantWorker(self.fleet, self, spec, ctx)
         self.workers[spec.name] = worker
         worker.start()
@@ -740,6 +740,9 @@ class Fleet:
             profile = get_profile(t.model, "inference", device_spec)
             self.solo_latency[t.model] = profile.request_latency
             self.signatures[t.name] = signature_of(profile, name=t.name)
+        # Orion's HP request latency on every GPU (None: no HP tenant).
+        hp = [t for t in self.tenants if t.high_priority]
+        self.hp_latency = self.solo_latency[hp[0].model] if hp else None
 
         self.stats: Dict[str, ClientStats] = {
             t.name: ClientStats(name=t.name, kind="inference")
@@ -764,21 +767,6 @@ class Fleet:
     # -- setup ----------------------------------------------------------
     def tenant(self, name: str) -> TenantSpec:
         return self._by_name[name]
-
-    def make_backend(self, sim: Simulator, device: GpuDevice):
-        name = self.backend_name
-        if name == "orion":
-            hp = [t for t in self.tenants if t.high_priority]
-            hp_latency = self.solo_latency[hp[0].model] if hp else None
-            return OrionBackend(sim, device, self.store,
-                                OrionConfig(hp_request_latency=hp_latency))
-        if name == "reef":
-            return ReefBackend(sim, device)
-        if name == "streams":
-            return StreamsBackend(sim, device)
-        if name == "priority-streams":
-            return PriorityStreamsBackend(sim, device)
-        raise ValueError(f"unknown backend {name!r} for fleet scenario")
 
     def start(self, horizon: float) -> None:
         """Boot every GPU and spawn the shared arrival streams."""
@@ -1071,14 +1059,7 @@ def _default_tenants(capacity: float, num_gpus: int, model: str,
     return tenants
 
 
-def run_fleet_scenario(**params) -> FleetResult:
-    """Convenience wrapper: build a fleet Scenario and run it."""
-    from repro.experiments.scenario import Scenario, run as run_scenario
-
-    return run_scenario(Scenario(kind="fleet", params=params)).result
-
-
-def _run_fleet_scenario(
+def simulate(
     seed: int = 0,
     duration: float = 0.2,
     num_gpus: int = 8,
@@ -1138,14 +1119,8 @@ def _run_fleet_scenario(
             "(placement='plan'/'adversarial' or an explicit mapping); "
             "with placement='all' every tenant is already everywhere")
 
-    sim = Simulator()
-    device_spec = get_device(device)
-    rng_factory = RngFactory(seed)
-    ledger = ErrorLedger()
-    telemetry = telemetry or TelemetryConfig()
-    tracer = telemetry.build_tracer(sim)
-    if telemetry.engine_events:
-        sim.attach_tracer(tracer)
+    h = Harness(seed, device, telemetry)
+    sim, device_spec, store = h.sim, h.device_spec, h.store
 
     if plan is None:
         plan = FaultPlan.sample_fleet(
@@ -1163,7 +1138,6 @@ def _run_fleet_scenario(
             f"fault plan targets gpu {plan.max_gpu_index()} but the fleet "
             f"has only {num_gpus} GPUs")
 
-    store = ProfileStore()
     models = {model} | ({t.model for t in tenants} if tenants else set())
     for m in sorted(models):
         store.add(get_profile(m, "inference", device_spec))
@@ -1200,7 +1174,7 @@ def _run_fleet_scenario(
 
     fleet = Fleet(
         sim, num_gpus, tenants, device_spec, store, backend=backend,
-        rng_factory=rng_factory, ledger=ledger, tracer=tracer,
+        rng_factory=h.rng, ledger=h.ledger, tracer=h.tracer,
         interference_weight=interference_weight, health_weight=health_weight,
         assignment=assignment, max_tenants_per_gpu=max_tenants_per_gpu,
     )
@@ -1220,13 +1194,12 @@ def _run_fleet_scenario(
     fleet.start(duration)
     if controller is not None:
         controller.start(duration)
-    injector = FaultInjector(sim, plan, fleet=fleet, tracer=tracer).start()
-    sim.run(until=duration)
+    injector = FaultInjector(sim, plan, fleet=fleet, tracer=h.tracer).start()
+    accounting = h.run(duration)
 
     fleet.drain_unfinished()
     for entry in injector.log:
-        ledger.record_injection(entry)
-    ledger.finalize(duration)
+        h.ledger.record_injection(entry)
 
     hp_names = [t.name for t in fleet.tenants if t.high_priority]
     hp_records = [r for name in hp_names
@@ -1252,13 +1225,12 @@ def _run_fleet_scenario(
         tenants=fleet.tenants,
         jobs=dict(fleet.stats),
         hp_latency=hp_latency,
-        ledger=ledger,
+        ledger=h.ledger,
         report=report,
         routing=routing,
         migration=migration_report,
         decisions=list(fleet.router.decisions),
-        tracer=tracer,
+        tracer=h.tracer,
         metrics=fleet.metrics,
-        events_processed=sim.events_processed,
-        sim_time=sim.now,
+        **accounting,
     )

@@ -4,9 +4,8 @@ from .autotune import SmThresholdTuner, TunerConfig
 from .policy import (
     DEFAULT_DUR_THRESHOLD_FRAC,
     PolicyConfig,
-    duration_throttled,
+    be_block_reason,
     have_different_profiles,
-    schedule_be,
 )
 from .scheduler import (
     ORION_INTERCEPTION_OVERHEAD,
@@ -24,8 +23,7 @@ __all__ = [
     "SloGuardConfig",
     "ORION_INTERCEPTION_OVERHEAD",
     "PolicyConfig",
-    "schedule_be",
-    "duration_throttled",
+    "be_block_reason",
     "have_different_profiles",
     "DEFAULT_DUR_THRESHOLD_FRAC",
     "SmThresholdTuner",

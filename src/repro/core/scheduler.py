@@ -40,7 +40,7 @@ from repro.runtime.backend import (
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal, Timeout, spawn
 
-from .policy import PolicyConfig, have_different_profiles
+from .policy import PolicyConfig, be_block_reason
 
 __all__ = ["OrionBackend", "OrionConfig", "OVERLOAD_POLICIES"]
 
@@ -73,19 +73,13 @@ class OrionConfig(PolicyConfig):
     whether ``submit`` blocks the client until the queue drains to
     ``be_queue_high_water`` ("block", the default) or rejects the op
     with a retryable ``QUEUE_FULL`` status ("reject") — overridable per
-    client via :meth:`OrionBackend.set_overload_policy`.
+    client through ``BackendOptions.overload_policies``.
     ``fallback_hp_latency`` is the HP request latency assumed before
     any profile or measurement lands.  ``hp_window`` sizes the rolling
     window of observed HP request latencies the SLO guard watches.
 
-    ``protect_prefill`` (phase-aware scheduling, §7 extension): while
-    the high-priority client has declared a ``"prefill"`` phase via
-    :meth:`OrionBackend.phase_marker` and its work is in flight, no
-    best-effort kernel is admitted at all — the compute-bound prefill
-    gets the whole GPU so TTFT stays flat, while decode phases fall
-    back to the normal resource-aware policy (which happily collocates
-    the memory-bound decode with compute-heavy best-effort kernels).
-    Inert for workloads that never declare a prefill phase.
+    The policy switches, ``protect_prefill`` among them, are the
+    :class:`~repro.core.policy.PolicyConfig` fields.
     """
 
     def __init__(self, hp_request_latency: Optional[float] = None,
@@ -96,7 +90,6 @@ class OrionConfig(PolicyConfig):
                  be_queue_depth: Optional[int] = None,
                  be_queue_high_water: Optional[int] = None,
                  overload_policy: str = "block",
-                 protect_prefill: bool = True,
                  hp_window: int = 128, **kwargs):
         super().__init__(**kwargs)
         if watchdog_multiple is not None and watchdog_multiple <= 0:
@@ -120,7 +113,6 @@ class OrionConfig(PolicyConfig):
         self.be_queue_depth = be_queue_depth
         self.be_queue_high_water = be_queue_high_water
         self.overload_policy = overload_policy
-        self.protect_prefill = protect_prefill
         self.hp_window = hp_window
 
 
@@ -192,7 +184,7 @@ class OrionBackend(Backend):
         self.watchdog_flags: List[dict] = []
         self._watchdog_seen: set = set()
         self._watchdog_wake = Signal(sim)
-        self.set_telemetry()
+        self.device.tracer = self.tracer
 
     # ------------------------------------------------------------------
     # Backend interface
@@ -223,14 +215,6 @@ class OrionBackend(Backend):
             self._be[client_id] = state
             self._be_order.append(client_id)
         return info
-
-    def set_overload_policy(self, client_id: str, policy: str) -> None:
-        """Override the bounded-queue overflow policy for one
-        best-effort client ("block" or "reject")."""
-        if policy not in OVERLOAD_POLICIES:
-            raise ValueError(f"policy must be one of {OVERLOAD_POLICIES}, "
-                             f"got {policy!r}")
-        self._be_state(client_id).policy = policy
 
     def devices(self) -> List[GpuDevice]:
         return [self.device]
@@ -285,16 +269,10 @@ class OrionBackend(Backend):
     def _reject_overload(self, queue: SoftwareQueue, client_id: str) -> Signal:
         """Load shedding at the queue: complete immediately with the
         retryable ``QUEUE_FULL`` status instead of enqueueing."""
-        queue.rejected_total += 1
         if self.tracer.enabled:
             self.tracer.instant("scheduler", "queue_reject",
                                 client=client_id, depth=queue.depth)
-        done = Signal(self.sim)
-        done.trigger(None, error=CudaError(
-            CudaErrorCode.QUEUE_FULL,
-            f"software queue full (depth {queue.depth}/{queue.max_depth})",
-            client_id=client_id, time=self.sim.now))
-        return done
+        return queue.reject()
 
     def admission_gate(self, client_id: str) -> Optional[Signal]:
         """Backpressure: block a best-effort client whose bounded queue
@@ -471,9 +449,6 @@ class OrionBackend(Backend):
             profile=ResourceProfile.UNKNOWN,
         )
 
-    def _total_outstanding(self) -> float:
-        return sum(state.outstanding for state in self._be.values())
-
     def _current_hp_profile(self) -> Optional[ResourceProfile]:
         """Profile of the HP kernel executing (or next to execute) now.
 
@@ -571,65 +546,31 @@ class OrionBackend(Backend):
         op = state.queue.peek()
         if op is None:
             return False
-        if self.be_admission_suspended:
+        be_profile = None if isinstance(op, MemoryOp) else self._be_profile(op)
+        # Listing 1 accounts the duration budget per best-effort client:
+        # reset it when this client's recorded CUDA event shows its
+        # pipeline drained.
+        if state.outstanding > 0 and state.event.query():
+            state.outstanding = 0.0
+        hp_running = self.hp_task_running
+        reason = be_block_reason(
+            self.config, be_profile, state.outstanding,
+            self.hp_request_latency, self.sm_threshold, hp_running,
+            self._current_hp_profile() if hp_running else None,
+            self.be_admission_suspended, self._hp_transfers_active > 0,
+            self._hp_phase == "prefill")
+        if reason is not None:
             self.be_kernels_deferred += 1
-            self._trace_be_block(client_id, "suspended")
+            if reason == "prefill_protect":
+                self.prefill_deferrals += 1
+            self._trace_be_block(client_id, reason)
             return False
-        if isinstance(op, MemoryOp):
-            # PCIe management: hold BE transfers while an HP transfer
-            # owns the bus; submit directly otherwise.
-            if self._hp_transfers_active > 0:
-                self.be_kernels_deferred += 1
-                self._trace_be_block(client_id, "pcie_hold")
-                return False
-            op, done = state.queue.pop()
+        op, done = state.queue.pop()
+        if be_profile is None:
             inner = state.stream.submit(op)
             self._chain(inner, done)
             self._watch_stream(inner)
             return True
-        be_profile = self._be_profile(op)
-        # Duration throttle (Listing 1 lines 12-16), accounted per
-        # best-effort client as in the listing: reset the budget when
-        # this client's recorded CUDA event shows its pipeline drained.
-        if state.outstanding > 0 and state.event.query():
-            state.outstanding = 0.0
-        # The policy rules below are policy.duration_throttled and
-        # policy.schedule_be inlined (decision-for-decision): this is the
-        # scheduler's hottest function and the call/kwarg overhead of the
-        # pure-function forms is measurable.  hp_task_running walks the
-        # HP queue/stream; nothing between the checks mutates it, so
-        # evaluate once.
-        config = self.config
-        hp_running = self.hp_task_running
-        if (hp_running and config.protect_prefill
-                and self._hp_phase == "prefill"):
-            # Phase hint: compute-bound prefill in flight — hold all
-            # best-effort kernels so TTFT stays at its solo latency.
-            self.be_kernels_deferred += 1
-            self.prefill_deferrals += 1
-            self._trace_be_block(client_id, "prefill_protect")
-            return False
-        if config.use_dur_throttle:
-            budget = config.dur_threshold_frac * self.hp_request_latency
-            if state.outstanding > budget or (
-                    hp_running and be_profile.duration > budget):
-                self.be_kernels_deferred += 1
-                self._trace_be_block(client_id, "dur_threshold")
-                return False
-        if hp_running:
-            admit = True
-            if config.use_sm_limit:
-                admit = be_profile.sm_needed < self.sm_threshold
-            if admit and config.use_profiles:
-                hp_profile = self._current_hp_profile()
-                current = hp_profile if hp_profile is not None \
-                    else ResourceProfile.UNKNOWN
-                admit = have_different_profiles(current, be_profile.profile)
-            if not admit:
-                self.be_kernels_deferred += 1
-                self._trace_be_block(client_id, "policy")
-                return False
-        op, done = state.queue.pop()
         if self.tracer.enabled:
             self.tracer.instant("scheduler", "be_admit", client=client_id,
                                 kernel=op.spec.name)

@@ -39,6 +39,7 @@ DEFAULT_WARMUP = 0.5
 def inf_train_config(hp_model: str, be_model: str, backend: str,
                      arrivals: str = "poisson",
                      duration: float = DEFAULT_DURATION,
+                     warmup: float = DEFAULT_WARMUP,
                      seed: int = 0, **kwargs) -> ExperimentConfig:
     """§6.2.1: HP latency-sensitive inference + BE training."""
     rps = rps_for(hp_model, "inf_train_poisson")
@@ -46,22 +47,24 @@ def inf_train_config(hp_model: str, be_model: str, backend: str,
                  arrivals=arrivals, rps=rps if arrivals == "poisson" else 0.0)
     be = JobSpec(model=be_model, kind="training", high_priority=False)
     return ExperimentConfig(jobs=[hp, be], backend=backend, duration=duration,
-                            warmup=DEFAULT_WARMUP, seed=seed, **kwargs)
+                            warmup=warmup, seed=seed, **kwargs)
 
 
 def train_train_config(hp_model: str, be_model: str, backend: str,
                        duration: float = DEFAULT_DURATION,
+                       warmup: float = DEFAULT_WARMUP,
                        seed: int = 0, **kwargs) -> ExperimentConfig:
     """§6.2.2: HP training + BE training, both closed loop."""
     hp = JobSpec(model=hp_model, kind="training", high_priority=True)
     be = JobSpec(model=be_model, kind="training", high_priority=False)
     return ExperimentConfig(jobs=[hp, be], backend=backend, duration=duration,
-                            warmup=DEFAULT_WARMUP, seed=seed, **kwargs)
+                            warmup=warmup, seed=seed, **kwargs)
 
 
 def inf_inf_config(hp_model: str, be_model: str, backend: str,
                    arrivals: str = "apollo",
                    duration: float = DEFAULT_DURATION,
+                   warmup: float = DEFAULT_WARMUP,
                    seed: int = 0, **kwargs) -> ExperimentConfig:
     """§6.2.3: HP inference + BE offline inference.
 
@@ -82,12 +85,13 @@ def inf_inf_config(hp_model: str, be_model: str, backend: str,
     else:
         raise ValueError(f"inf-inf arrivals must be apollo|poisson, got {arrivals!r}")
     return ExperimentConfig(jobs=[hp, be], backend=backend, duration=duration,
-                            warmup=DEFAULT_WARMUP, seed=seed, **kwargs)
+                            warmup=warmup, seed=seed, **kwargs)
 
 
 def multi_client_config(hp_model: str, be_models: Sequence[str], backend: str,
                         device: str = "A100-40GB",
                         duration: float = DEFAULT_DURATION,
+                        warmup: float = DEFAULT_WARMUP,
                         seed: int = 0, **kwargs) -> ExperimentConfig:
     """§6.3: one HP inference client + N BE inference clients (Figure 13)."""
     jobs: List[JobSpec] = [
@@ -101,20 +105,21 @@ def multi_client_config(hp_model: str, be_models: Sequence[str], backend: str,
                     name=f"be{index}-{model}")
         )
     return ExperimentConfig(jobs=jobs, backend=backend, device=device,
-                            duration=duration, warmup=DEFAULT_WARMUP,
+                            duration=duration, warmup=warmup,
                             seed=seed, **kwargs)
 
 
 def solo_inference_config(model: str, rps: Optional[float] = None,
                           arrivals: str = "uniform",
                           duration: float = DEFAULT_DURATION,
+                          warmup: float = DEFAULT_WARMUP,
                           seed: int = 0, **kwargs) -> ExperimentConfig:
     """A single inference job on a dedicated GPU (Figures 8a/9a)."""
     job = JobSpec(model=model, kind="inference", high_priority=True,
                   arrivals=arrivals,
                   rps=rps if rps is not None else 0.0)
     return ExperimentConfig(jobs=[job], backend="ideal", duration=duration,
-                            warmup=DEFAULT_WARMUP, seed=seed, **kwargs)
+                            warmup=warmup, seed=seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------

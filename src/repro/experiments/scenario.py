@@ -1,14 +1,10 @@
 """Unified Scenario API: one description, one entry point, one result.
 
-Historically each scenario family grew its own entry point with its own
-keyword surface: ``run_experiment(ExperimentConfig)`` for collocation
-experiments, ``run_overload_scenario(**kwargs)`` for the overload-
-protection demo, ``run_fault_scenario(**kwargs)`` for fault injection,
-plus ad-hoc keyword plumbing in the trace CLI.  A :class:`Scenario`
-subsumes all of them: ``kind`` selects the family, ``experiment``
-carries the full :class:`~repro.experiments.config.ExperimentConfig`
-for collocation runs, and ``params`` carries the keyword surface of the
-overload/faults scenarios verbatim.
+A :class:`Scenario` describes any run: ``kind`` selects the family,
+``experiment`` carries the full
+:class:`~repro.experiments.config.ExperimentConfig` for collocation
+runs, and ``params`` carries the keyword surface of the other families
+(overload, faults, fleet, llm) verbatim.
 
 ``run(scenario)`` executes any of them and returns a
 :class:`ScenarioResult` wrapping the family-specific result object plus
@@ -17,14 +13,12 @@ wall-clock seconds).  ``ScenarioResult.canonical()`` renders the
 deterministic subset — everything except wall-clock — as plain data, so
 equal (scenario, seed) cells produce byte-identical JSON no matter
 where or in which process they ran: the property the sweep engine's
-merge step relies on, and the contract the deprecation-shim tests
-assert.
+merge step relies on.
 
 Named scenarios (the catalog the CLI, sweep, and bench share) live in
-:mod:`repro.experiments.registry` as ``make_scenario(name, ...)``.
-The legacy entry points survive as thin shims that emit a
-``FutureWarning`` and delegate here; see DESIGN.md §6.4 (removal
-schedule in §6.9).
+:mod:`repro.experiments.registry` as ``make_scenario(name, ...)``.  The
+family runners share their set-up through
+:mod:`repro.experiments.harness`; see DESIGN.md §6.4.
 
 Params-kind scenarios are validated at construction against the typed
 dataclasses in :mod:`repro.experiments.params`: an unknown or
@@ -34,6 +28,7 @@ not minutes later inside a sweep worker.
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -45,6 +40,15 @@ from .params import validate_params
 __all__ = ["Scenario", "ScenarioResult", "run", "SCENARIO_KINDS"]
 
 SCENARIO_KINDS = ("experiment", "overload", "faults", "fleet", "llm")
+
+#: kind -> module whose ``simulate`` function runs that family.
+_FAMILIES = {
+    "experiment": "repro.experiments.runner",
+    "overload": "repro.experiments.overload",
+    "faults": "repro.faults.scenario",
+    "fleet": "repro.cluster.fleet",
+    "llm": "repro.workloads.llmserve",
+}
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ class ScenarioResult:
     """Uniform wrapper around one scenario run.
 
     ``result`` is the family-specific object (``ExperimentResult``,
-    ``OverloadResult``, or ``FaultScenarioResult``) — everything the
-    legacy entry points returned is still reachable.  The wrapper adds
+    ``OverloadResult``, ``FaultScenarioResult``, ``FleetResult`` or
+    ``LlmServeResult``).  The wrapper adds
     the accounting every caller (bench, sweep, CLI) needs without
     re-deriving it: simulator events processed, simulated seconds, and
     wall-clock seconds.  Wall-clock is deliberately excluded from
@@ -163,31 +167,16 @@ class ScenarioResult:
 def run(scenario: Scenario) -> ScenarioResult:
     """Execute any :class:`Scenario` and wrap its outcome.
 
-    The family implementations are imported lazily so the deprecation
-    shims in their modules can in turn delegate here without an import
-    cycle.
+    The family implementations are imported lazily, so building a
+    scenario stays light and the families (which import this package)
+    cause no import cycle.
     """
     start = time.perf_counter()
+    simulate = importlib.import_module(_FAMILIES[scenario.kind]).simulate
     if scenario.kind == "experiment":
-        from .runner import _run_experiment
-
-        result = _run_experiment(scenario.experiment)
-    elif scenario.kind == "overload":
-        from .overload import _run_overload_scenario
-
-        result = _run_overload_scenario(**scenario.params)
-    elif scenario.kind == "fleet":
-        from repro.cluster.fleet import _run_fleet_scenario
-
-        result = _run_fleet_scenario(**scenario.params)
-    elif scenario.kind == "llm":
-        from repro.workloads.llmserve import _run_llm_scenario
-
-        result = _run_llm_scenario(**scenario.params)
+        result = simulate(scenario.experiment)
     else:
-        from repro.faults.scenario import _run_fault_scenario
-
-        result = _run_fault_scenario(**scenario.params)
+        result = simulate(**scenario.params)
     wall = time.perf_counter() - start
     return ScenarioResult(scenario=scenario, result=result,
                           events_processed=result.events_processed,

@@ -120,9 +120,9 @@ class GpuDevice:
         # Armed fault-injection state (see repro.faults).
         self._armed_kernel_faults: List[ArmedKernelFault] = []
         self._armed_transfer_faults = 0
-        # Telemetry.  The tracer is wired by the run harness
-        # (Backend.set_telemetry / the experiment runner); the default
-        # null tracer keeps the hot paths on the disabled fast path.
+        # Telemetry.  The owning backend hands over its tracer; the
+        # default null tracer keeps the hot paths on the disabled fast
+        # path.
         self.tracer = NULL_TRACER
         # Degradation factor (fleet fault injection): kernel progress
         # rates are divided by this, so a slowdown of 3.0 makes every

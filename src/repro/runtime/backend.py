@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Union
 
 from repro.gpu.device import GpuDevice
+from repro.gpu.errors import CudaError, CudaErrorCode
 from repro.kernels.kernel import KernelOp, MemoryOp
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
@@ -45,11 +46,9 @@ class UnknownClientError(KeyError):
 class BackendOptions:
     """Construction-time wiring for a backend.
 
-    Collects what used to be one setter per feature
-    (``set_telemetry``, ``set_overload_policy``, ...) into a single
-    object passed at construction, so telemetry and policy references
+    Telemetry and policy references are passed at construction, so they
     are in place *before* any client registers and captures them.  The
-    setters remain as back-compat shims.
+    backend hands its tracer to the devices it occupies.
 
     ``overload_policies`` maps client ids to a bounded-queue overflow
     policy ("block" or "reject"); backends that support per-client
@@ -83,8 +82,8 @@ class SoftwareQueue:
 
     Overload protection (DESIGN.md §6.2): ``max_depth`` bounds the
     queue.  The queue itself never refuses a push — the owning backend
-    checks :attr:`full` and applies its per-client policy (reject with
-    ``QUEUE_FULL``, or block the client on :meth:`wait_for_room`).
+    checks :attr:`full` and applies its per-client policy (:meth:`reject`
+    with ``QUEUE_FULL``, or block the client on :meth:`wait_for_room`).
     Room waiters are released with hysteresis: only once the depth
     drains back to ``high_water`` (default half of ``max_depth``), so a
     blocked client does not thrash on every single pop.
@@ -122,32 +121,17 @@ class SoftwareQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    # Back-compat shim: the PR-2 telemetry attributes stay readable and
-    # writable (backends do ``queue.rejected_total += 1``) while the
-    # values live on registry instruments.
     @property
     def enqueued_total(self) -> int:
         return self._m_enqueued.value
-
-    @enqueued_total.setter
-    def enqueued_total(self, value: int) -> None:
-        self._m_enqueued.value = value
 
     @property
     def rejected_total(self) -> int:
         return self._m_rejected.value
 
-    @rejected_total.setter
-    def rejected_total(self, value: int) -> None:
-        self._m_rejected.value = value
-
     @property
     def max_depth_seen(self) -> int:
         return self._m_depth.max_seen
-
-    @max_depth_seen.setter
-    def max_depth_seen(self, value: int) -> None:
-        self._m_depth.max_seen = value
 
     @property
     def depth(self) -> int:
@@ -164,6 +148,17 @@ class SoftwareQueue:
         self._m_depth.set(len(self._items))
         if self.tracer.enabled:
             self.tracer.op_enqueue(self.client_id, op.seq, len(self._items))
+        return done
+
+    def reject(self) -> Signal:
+        """Refuse one op on a full queue: count it and return a signal
+        already failed with the retryable ``QUEUE_FULL`` status."""
+        self._m_rejected.value += 1
+        done = Signal(self.sim)
+        done.trigger(None, error=CudaError(
+            CudaErrorCode.QUEUE_FULL,
+            f"software queue full (depth {len(self._items)}/{self.max_depth})",
+            client_id=self.client_id, time=self.sim.now))
         return done
 
     def peek(self) -> Optional[Op]:
@@ -238,28 +233,12 @@ class Backend(abc.ABC):
         # Registry of software queues for uniform depth telemetry; a
         # backend that queues ops creates queues via _new_queue.
         self._software_queues: Dict[str, SoftwareQueue] = {}
-        # Telemetry: off by default (nil-tracer fast path).  Wire a run's
-        # tracer/registry via BackendOptions (preferred) or with
-        # set_telemetry BEFORE clients register — queues and client
-        # contexts capture the references at creation.
+        # Telemetry: off by default (nil-tracer fast path).  Queues and
+        # client contexts capture these references at creation.
         self.tracer = self.options.tracer \
             if self.options.tracer is not None else NULL_TRACER
         self.metrics = self.options.metrics \
             if self.options.metrics is not None else MetricsRegistry()
-
-    def set_telemetry(self, tracer=None, metrics: Optional[MetricsRegistry] = None) -> None:
-        """Attach a run's tracer and/or metrics registry.  Must be
-        called before clients register: software queues and client
-        contexts capture the references when they are created."""
-        if tracer is not None:
-            self.tracer = tracer
-        if metrics is not None:
-            self.metrics = metrics
-        try:
-            for device in self.devices():
-                device.tracer = self.tracer
-        except NotImplementedError:
-            pass
 
     @abc.abstractmethod
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:

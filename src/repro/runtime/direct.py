@@ -33,7 +33,7 @@ class DirectStreamBackend(Backend):
         self.device = device
         self.use_priorities = use_priorities
         self._streams: Dict[str, object] = {}
-        self.set_telemetry()
+        self.device.tracer = self.tracer
 
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         info = self._register(client_id, high_priority, kind)
@@ -82,6 +82,7 @@ class DedicatedBackend(Backend):
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         info = self._register(client_id, high_priority, kind)
         device = self._device_factory()
+        device.tracer = self.tracer
         self._devices[client_id] = device
         self._streams[client_id] = device.create_stream(name=f"{client_id}-stream")
         return info

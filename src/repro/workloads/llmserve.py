@@ -25,7 +25,7 @@ needs a serving loop around the prefill/decode lowering in
   (protecting TTFT), and ``phase("decode")`` re-opens collocation for
   the memory-bound decode steps.
 
-``_run_llm_scenario`` wires the engine to a backend (Orion, temporal
+``simulate`` wires the engine to a backend (Orion, temporal
 sharing, or the stream baselines), optionally collocates best-effort
 training clients, and returns an :class:`LlmServeResult` with the
 serving metrics the field cares about: TTFT, per-output-token latency
@@ -574,6 +574,10 @@ class LlmServeResult:
                    for stats in self.jobs.values())
 
 
+#: Backends the LLM serving scenario runs on (one shared device).
+_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
+
+
 def _summarize(values: List[float]) -> LatencySummary:
     if not values:
         return LatencySummary.empty()
@@ -585,7 +589,7 @@ def _summarize(values: List[float]) -> LatencySummary:
     )
 
 
-def _run_llm_scenario(
+def simulate(
     seed: int = 0,
     duration: float = 0.2,
     model: str = "llm-small",
@@ -619,14 +623,8 @@ def _run_llm_scenario(
     SLO reported (and asserted by the benchmark) is ``ttft_slo_mult``
     x the solo prefill latency estimate at the mean prompt length.
     """
-    from repro.core import OrionBackend, OrionConfig
+    from repro.experiments.harness import Harness
     from repro.experiments.runner import get_profile
-    from repro.gpu.device import GpuDevice
-    from repro.gpu.specs import get_device
-    from repro.profiler.profiles import ProfileStore
-    from repro.runtime.host import HostGil, HostThread
-    from repro.sim.rng import RngFactory
-    from repro.telemetry.tracer import TelemetryConfig
     from repro.workloads.clients import TrainingClient
     from repro.workloads.registry import build_plan, get_workload
 
@@ -645,11 +643,8 @@ def _run_llm_scenario(
         raise ValueError(f"workload {model!r} is not an LLM workload; "
                          "kind='llm' scenarios need one (e.g. 'llm-small')")
 
-    sim = Simulator()
-    device_spec = get_device(device)
-    rng_factory = RngFactory(seed)
-    ledger = ErrorLedger()
-    telemetry = telemetry or TelemetryConfig()
+    h = Harness(seed, device, telemetry)
+    sim, device_spec, ledger = h.sim, h.device_spec, h.ledger
 
     # Reference latencies from the lowering, used for the Orion duration
     # budget and the TTFT SLO — profiled estimates, not ground truth.
@@ -666,38 +661,15 @@ def _run_llm_scenario(
                                     Namer(f"{config.name}-ref/decode")))
     ttft_slo = ttft_slo_mult * prefill_ref
 
-    store = ProfileStore()
     be_plan = None
     if be_clients:
-        store.add(get_profile(be_model, "training", device_spec))
+        h.store.add(get_profile(be_model, "training", device_spec))
         be_plan = build_plan(be_model, "training")
 
-    gpu = GpuDevice(sim, device_spec, record_utilization=telemetry.tracing)
-    if backend == "orion":
-        be_backend = OrionBackend(sim, gpu, store, OrionConfig(
-            fallback_hp_latency=decode_ref,
-            protect_prefill=protect_prefill,
-        ))
-    elif backend == "temporal":
-        from repro.baselines.temporal import TemporalBackend
-
-        be_backend = TemporalBackend(sim, gpu)
-    elif backend == "streams":
-        from repro.baselines.spatial import StreamsBackend
-
-        be_backend = StreamsBackend(sim, gpu)
-    elif backend == "priority-streams":
-        from repro.baselines.spatial import PriorityStreamsBackend
-
-        be_backend = PriorityStreamsBackend(sim, gpu)
-    else:
-        raise ValueError(
-            f"kind='llm' supports backends orion|temporal|streams|"
-            f"priority-streams, got {backend!r}")
-    tracer = telemetry.build_tracer(sim)
-    be_backend.set_telemetry(tracer=tracer)
-    if telemetry.engine_events:
-        sim.attach_tracer(tracer)
+    be_backend = h.build_backend(backend, dict(
+        fallback_hp_latency=decode_ref,
+        protect_prefill=protect_prefill,
+    ), choices=_BACKENDS, record_utilization=h.tracer.enabled)
 
     # Enforce the KV budget with real memory: reserve everything beyond
     # (weights + best-effort state + budget), so cache growth past the
@@ -707,24 +679,16 @@ def _run_llm_scenario(
         resident = FP32_BYTES * config.params
         if be_plan is not None:
             resident += be_clients * be_plan.state_bytes
-        blocker = gpu.memory.free - resident - budget
+        memory = be_backend.device.memory
+        blocker = memory.free - resident - budget
         if blocker > 0:
-            gpu.memory.malloc(blocker, client_id="kv-budget-reserve")
-
-    gil = HostGil(sim)
-
-    def make_ctx(name: str, high_priority: bool, kind: str) -> ClientContext:
-        host = HostThread(
-            sim, gil=gil,
-            interception_overhead=be_backend.interception_overhead())
-        return ClientContext(be_backend, name, host,
-                             high_priority=high_priority, kind=kind)
+            memory.malloc(blocker, client_id="kv-budget-reserve")
 
     engine = ContinuousBatchingEngine(
-        sim, make_ctx("llm", True, "inference"), config, device_spec,
-        PoissonArrivals(request_rate, rng_factory.stream("llm:arrivals")),
-        prompt_rng=rng_factory.stream("llm:prompts"),
-        output_rng=rng_factory.stream("llm:outputs"),
+        sim, h.ctx("llm", True, "inference"), config, device_spec,
+        PoissonArrivals(request_rate, h.rng.stream("llm:arrivals")),
+        prompt_rng=h.rng.stream("llm:prompts"),
+        output_rng=h.rng.stream("llm:outputs"),
         horizon=duration, max_batch=max_batch,
         prompt_mean=prompt_mean, prompt_cap=prompt_cap,
         output_mean=output_mean, output_cap=output_cap,
@@ -736,7 +700,7 @@ def _run_llm_scenario(
     for i in range(be_clients):
         name = f"be-{i}"
         be_jobs.append(TrainingClient(
-            sim, make_ctx(name, False, "training"), be_plan, device_spec,
+            sim, h.ctx(name, False, "training"), be_plan, device_spec,
             name, horizon=duration, ledger=ledger))
 
     be_backend.start()
@@ -746,8 +710,7 @@ def _run_llm_scenario(
     for job in be_jobs:
         job.start()
     engine.start()
-    sim.run(until=duration)
-    ledger.finalize(duration)
+    accounting = h.run(duration)
 
     after = warmup
     ttfts = [r.ttft for r in engine.records
@@ -786,6 +749,5 @@ def _run_llm_scenario(
         jobs={job.name: job.stats for job in be_jobs},
         backend_stats=backend_stats,
         ledger=ledger,
-        events_processed=sim.events_processed,
-        sim_time=sim.now,
+        **accounting,
     )

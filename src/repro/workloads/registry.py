@@ -13,9 +13,8 @@ OpPlan` for it.  The registry spans both workload families:
   alias), wrapping :func:`~repro.workloads.models.llm.
   llm_generation_plan` with its typed batch/prompt/gen knobs.
 
-``get_plan(model, kind)`` remains as the legacy thin path for the zoo
-models; new code — ``make_scenario`` param validation, the LLM serving
-scenario, examples — goes through the registry so a workload is always
+Callers — ``make_scenario`` param validation, the scenario families,
+examples — go through the registry, so a workload is always
 constructible from a plain string name plus JSON-safe kwargs (the
 serve daemon's submit surface).
 """

@@ -1,13 +1,16 @@
-"""Unit tests for Orion's policy decision functions (Listing 1)."""
+"""Unit tests for Orion's best-effort admission rule (Listing 1).
+
+Every case calls :func:`be_block_reason`, the one function the
+scheduler runs on each re-evaluation.
+"""
 
 import pytest
 
 from repro.core.policy import (
     DEFAULT_DUR_THRESHOLD_FRAC,
     PolicyConfig,
-    duration_throttled,
+    be_block_reason,
     have_different_profiles,
-    schedule_be,
 )
 from repro.kernels.kernel import ResourceProfile
 from repro.profiler.profiles import KernelProfile
@@ -15,10 +18,38 @@ from repro.profiler.profiles import KernelProfile
 C = ResourceProfile.COMPUTE
 M = ResourceProfile.MEMORY
 U = ResourceProfile.UNKNOWN
+HP_LATENCY = 10e-3  # duration budget = 250 us at the paper default
 
 
 def be_kernel(profile=M, sm=10, duration=1e-4):
     return KernelProfile("be-k", duration, 0.5, 0.5, sm, profile)
+
+
+def reason(be=None, hp_running=True, hp_profile=C, config=None,
+           outstanding=0.0, hp_latency=HP_LATENCY, sm_threshold=80,
+           **state):
+    """be_block_reason with defaults: HP running a compute kernel, an
+    empty best-effort pipeline, 80 SMs."""
+    return be_block_reason(config or PolicyConfig(), be, outstanding,
+                           hp_latency, sm_threshold, hp_running, hp_profile,
+                           **state)
+
+
+def schedule_be(hp_running, hp_profile, kernel, sm_threshold, config):
+    """Listing 1's schedule_be verdict: admitted, or blocked by the SM
+    or profile rule."""
+    verdict = reason(kernel, hp_running, hp_profile, config,
+                     sm_threshold=sm_threshold)
+    assert verdict in (None, "policy")
+    return verdict is None
+
+
+def duration_throttled(outstanding, hp_latency, config):
+    """Listing 1 lines 12-16 verdict, with the HP job idle."""
+    verdict = reason(be_kernel(), hp_running=False, config=config,
+                     outstanding=outstanding, hp_latency=hp_latency)
+    assert verdict in (None, "dur_threshold")
+    return verdict == "dur_threshold"
 
 
 # ----------------------------------------------------------------------
@@ -40,7 +71,7 @@ def test_profile_compatibility_table(hp, be, expected):
 
 
 # ----------------------------------------------------------------------
-# schedule_be
+# SM and profile rules (Listing 1's schedule_be)
 # ----------------------------------------------------------------------
 def test_be_allowed_when_hp_idle_regardless_of_profile():
     config = PolicyConfig()
@@ -95,7 +126,7 @@ def test_ablation_disable_both_admits_everything():
 
 
 # ----------------------------------------------------------------------
-# duration_throttled
+# Duration rule (Listing 1 lines 12-16)
 # ----------------------------------------------------------------------
 def test_default_threshold_is_paper_value():
     assert DEFAULT_DUR_THRESHOLD_FRAC == 0.025
@@ -132,3 +163,34 @@ def test_config_validation():
         PolicyConfig(dur_threshold_frac=0.0)
     with pytest.raises(ValueError):
         PolicyConfig(dur_threshold_frac=1.5)
+
+
+# ----------------------------------------------------------------------
+# Suspension, PCIe hold, prefill protection, and the order rules apply in
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kwargs,expected", [
+    # The SLO guard's brake blocks kernels and copies, HP busy or idle.
+    (dict(be=be_kernel(), suspended=True), "suspended"),
+    (dict(be=be_kernel(), hp_running=False, suspended=True), "suspended"),
+    (dict(be=None, suspended=True), "suspended"),
+    (dict(be=None, suspended=True, hp_transfer_active=True), "suspended"),
+    # A queued BE copy waits only while an HP transfer holds the bus.
+    (dict(be=None, hp_transfer_active=True), "pcie_hold"),
+    (dict(be=None), None),
+    (dict(be=None, hp_profile=M, outstanding=1.0), None),
+    # Prefill protection holds every BE kernel while HP work runs.
+    (dict(be=be_kernel(), hp_prefill=True), "prefill_protect"),
+    (dict(be=be_kernel(), hp_prefill=True, outstanding=1.0),
+     "prefill_protect"),
+    (dict(be=be_kernel(), hp_running=False, hp_prefill=True), None),
+    (dict(be=be_kernel(), hp_prefill=True,
+          config=PolicyConfig(protect_prefill=False)), None),
+    (dict(be=be_kernel(), hp_transfer_active=True), None),
+    # A kernel longer than the whole budget waits while HP runs.
+    (dict(be=be_kernel(duration=300e-6)), "dur_threshold"),
+    (dict(be=be_kernel(duration=300e-6), hp_running=False), None),
+    # The duration rule is checked before the SM and profile rules.
+    (dict(be=be_kernel(C, sm=500), outstanding=1.0), "dur_threshold"),
+])
+def test_block_reason_rules_and_order(kwargs, expected):
+    assert reason(**kwargs) == expected

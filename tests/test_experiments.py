@@ -16,7 +16,7 @@ from repro.experiments.tables import format_series, format_table, ratio
 from repro.gpu.specs import V100_16GB
 
 
-def run_experiment(cfg):
+def run_config(cfg):
     """Run a collocation config through the Scenario API."""
     return run_scenario(Scenario(kind="experiment", experiment=cfg)).result
 
@@ -94,7 +94,7 @@ def test_run_experiment_end_to_end():
     cfg = inf_train_config("mobilenet_v2", "mobilenet_v2", "orion",
                            duration=1.0)
     cfg.warmup = 0.2
-    result = run_experiment(cfg)
+    result = run_config(cfg)
     assert result.hp_job.latency.count > 10
     assert result.hp_job.throughput > 0
     assert len(result.be_jobs()) == 1
@@ -106,14 +106,14 @@ def test_run_experiment_unknown_backend():
                            duration=1.0)
     cfg.backend = "magic"
     with pytest.raises(ValueError):
-        run_experiment(cfg)
+        run_config(cfg)
 
 
 def test_run_experiment_records_utilization():
     cfg = solo_inference_config("mobilenet_v2", rps=50, duration=1.0,
                                 record_utilization=True)
     cfg.warmup = 0.2
-    result = run_experiment(cfg)
+    result = run_config(cfg)
     assert result.utilization is not None
     assert 0 < result.utilization.compute < 1
     assert result.utilization_segments
@@ -124,7 +124,7 @@ def test_run_experiment_deterministic():
         cfg = inf_inf_config("mobilenet_v2", "mobilenet_v2", "orion",
                              arrivals="poisson", duration=1.0, seed=11)
         cfg.warmup = 0.2
-        return run_experiment(cfg)
+        return run_config(cfg)
 
     a, b = run(), run()
     assert a.hp_job.latency.p99 == pytest.approx(b.hp_job.latency.p99)
@@ -136,7 +136,7 @@ def test_seed_changes_poisson_outcomes():
         cfg = inf_inf_config("mobilenet_v2", "mobilenet_v2", "orion",
                              arrivals="poisson", duration=1.0, seed=seed)
         cfg.warmup = 0.2
-        return run_experiment(cfg).hp_job.latency.mean
+        return run_config(cfg).hp_job.latency.mean
 
     assert run(1) != run(2)
 

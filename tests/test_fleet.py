@@ -6,7 +6,6 @@ from repro.cluster.fleet import (
     GpuHealth,
     TenantPolicy,
     TenantSpec,
-    run_fleet_scenario,
 )
 from repro.experiments.registry import make_scenario
 from repro.experiments.scenario import SCENARIO_KINDS, Scenario, run
@@ -289,10 +288,3 @@ def test_fleet_scenario_api_integration():
     assert set(canonical["result"]) == {
         "num_gpus", "backend", "plan", "hp_latency", "jobs", "report",
         "routing", "migration", "ledger"}
-
-
-def test_run_fleet_scenario_wrapper():
-    result = run_fleet_scenario(seed=0, duration=0.02, num_gpus=2,
-                                plan=FaultPlan(()))
-    assert result.num_gpus == 2
-    assert result.report["num_gpus"] == 2

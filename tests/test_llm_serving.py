@@ -13,7 +13,7 @@ import pytest
 from repro.experiments.scenario import Scenario, run
 from repro.workloads.llmserve import (
     KvCacheAccounting,
-    _run_llm_scenario,
+    simulate,
 )
 
 
@@ -226,7 +226,7 @@ class TestScenarioContract:
 class TestValidation:
     def test_non_llm_workload_rejected(self):
         with pytest.raises(ValueError, match="not an LLM workload"):
-            _run_llm_scenario(model="resnet50", duration=0.01)
+            simulate(model="resnet50", duration=0.01)
 
     def test_bad_backend_rejected_at_construction(self):
         with pytest.raises(ValueError, match="backend"):

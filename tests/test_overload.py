@@ -12,7 +12,7 @@ from repro.gpu.errors import CudaError, CudaErrorCode
 from repro.gpu.specs import V100_16GB
 from repro.metrics.availability import ErrorLedger
 from repro.profiler.profiles import KernelProfile, ModelProfile, ProfileStore
-from repro.runtime.backend import SoftwareQueue
+from repro.runtime.backend import BackendOptions, SoftwareQueue
 from repro.runtime.client import ClientContext
 from repro.runtime.host import HostThread
 from repro.sim.engine import Simulator
@@ -85,7 +85,7 @@ def test_queue_full_and_snapshot_counters():
     assert not queue.full
     queue.push(make_kernel(compute_spec()))
     assert queue.full
-    queue.rejected_total += 1
+    assert queue.reject().error.code is CudaErrorCode.QUEUE_FULL
     snap = queue.snapshot()
     assert snap == {"depth": 2, "enqueued_total": 2, "max_depth_seen": 2,
                     "rejected_total": 1, "max_depth": 2}
@@ -215,15 +215,20 @@ def test_blocked_client_rejected_if_closed_while_waiting():
     assert record["second"].error.code is CudaErrorCode.CONTEXT_POISONED
 
 
-def test_set_overload_policy_per_client():
-    sim = Simulator()
-    config = OrionConfig(hp_request_latency=10e-3, be_queue_depth=1)
-    backend, _device, _hp, _be = setup_backend(sim, config)
-    assert backend._be_state("be").policy == "block"
-    backend.set_overload_policy("be", "reject")
-    assert backend._be_state("be").policy == "reject"
+def test_per_client_overload_policy_via_options():
+    def register(policies):
+        sim = Simulator()
+        backend = OrionBackend(sim, GpuDevice(sim, V100_16GB), ProfileStore(),
+                               OrionConfig(be_queue_depth=1),
+                               options=BackendOptions(
+                                   overload_policies=policies))
+        backend.register_client("be", high_priority=False, kind="inference")
+        return backend._be_state("be").policy
+
+    assert register({}) == "block"
+    assert register({"be": "reject"}) == "reject"
     with pytest.raises(ValueError):
-        backend.set_overload_policy("be", "panic")
+        register({"be": "panic"})
 
 
 def test_overload_config_validation():

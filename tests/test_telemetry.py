@@ -137,7 +137,7 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Queue-telemetry migration (back-compat shim)
+# Queue telemetry on registry instruments
 # ----------------------------------------------------------------------
 class TestQueueTelemetryShim:
     def test_software_queue_attrs_still_read_write(self):
@@ -148,7 +148,7 @@ class TestQueueTelemetryShim:
             seq = 0
 
         queue.push(FakeOp())
-        queue.rejected_total += 1  # legacy += call sites must keep working
+        queue.reject()
         assert queue.enqueued_total == 1
         assert queue.rejected_total == 1
         assert queue.max_depth_seen == 1

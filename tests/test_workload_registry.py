@@ -132,9 +132,9 @@ class TestTypedParams:
     def test_fleet_surface_matches_implementation(self):
         import inspect
 
-        from repro.cluster.fleet import _run_fleet_scenario
+        from repro.cluster.fleet import simulate
 
-        impl = set(inspect.signature(_run_fleet_scenario).parameters)
+        impl = set(inspect.signature(simulate).parameters)
         typed = {f.name for f in
                  __import__("dataclasses").fields(FleetParams)}
         assert typed == impl
@@ -142,9 +142,9 @@ class TestTypedParams:
     def test_llm_surface_matches_implementation(self):
         import inspect
 
-        from repro.workloads.llmserve import _run_llm_scenario
+        from repro.workloads.llmserve import simulate
 
-        impl = set(inspect.signature(_run_llm_scenario).parameters)
+        impl = set(inspect.signature(simulate).parameters)
         typed = {f.name for f in
                  __import__("dataclasses").fields(LlmParams)}
         assert typed == impl

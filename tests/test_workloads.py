@@ -15,8 +15,8 @@ from repro.workloads.models import (
     DEFAULT_BATCH_SIZES,
     MODEL_NAMES,
     batch_size_for,
-    get_plan,
 )
+from repro.workloads.models.zoo import get_plan
 from repro.workloads.rates import TABLE3_RPS, rps_for
 
 
