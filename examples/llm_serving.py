@@ -17,7 +17,7 @@ What this shows:
 
 Everything is driven through the unified Scenario API:
 ``Scenario(kind="llm", params={...})`` — the same description the
-CLI (``python -m repro llm``), the sweep engine, and the serve
+CLI (``python -m repro run llm``), the sweep engine, and the serve
 daemon accept.
 
 Run:  python examples/llm_serving.py

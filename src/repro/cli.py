@@ -1,42 +1,42 @@
-"""Command-line interface: run collocation experiments without writing code.
+"""Command-line interface: run any catalog scenario without writing code.
 
     python -m repro --help
-    python -m repro inf-train  --hp resnet50 --be mobilenet_v2 --backend orion
-    python -m repro train-train --hp resnet50 --be mobilenet_v2 --backend reef
-    python -m repro inf-inf    --hp resnet101 --be resnet50 --arrivals apollo
-    python -m repro fleet      --num-gpus 16 --crashes 2 --degrades 1
-    python -m repro llm        --backend orion --request-rate 80
-    python -m repro sweep      --scenarios overload_ref --seeds 0,1,2,3
-    python -m repro bench      --smoke
-    python -m repro profile    --model bert --kind inference
-    python -m repro scenarios  --json
-    python -m repro serve      --socket /tmp/repro-serve.sock --workers 2
-    python -m repro submit     fleet_ref --wait
-    python -m repro status     job-0001
-    python -m repro cancel     job-0001
+    python -m repro scenarios                 # the catalog: every NAME below
+    python -m repro run       inf-train --duration 1.0 --set backend=reef
+    python -m repro run       overload --set guard=false --json
+    python -m repro run       fleet --set num_gpus=16 --set crashes=2
+    python -m repro trace     llm_ref --out trace.json
+    python -m repro sweep     --scenarios overload_ref --seeds 0,1,2,3
+    python -m repro bench     --smoke
+    python -m repro profile   --model bert --kind inference
+    python -m repro serve     --socket /tmp/repro-serve.sock --workers 2
+    python -m repro submit    fleet_ref --wait
+    python -m repro status    job-0001
+    python -m repro cancel    job-0001
 
-Every run subcommand builds a :class:`repro.experiments.scenario.Scenario`
-and executes it through the one ``run(scenario)`` entry point.  Prints
-the per-job latency/throughput summary as a table; ``--json`` emits
-machine-readable results instead.
+``run``, ``trace`` and ``submit`` name a scenario the same way: a
+catalog NAME plus ``--seed``, ``--duration`` and repeatable
+``--set KEY=VAL`` overrides (values parse as JSON, falling back to
+strings), built by ``make_scenario(NAME, seed=, duration=,
+**overrides)`` -- the call the serve daemon makes.  So a CLI run, a
+daemon job and a direct ``run(make_scenario(...))`` of the same
+arguments are the same run, at the catalog's defaults.  ``run --json``
+prints the canonical result JSON (the bytes the daemon stores);
+without it, a per-kind text summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
+from repro.experiments.params import LlmParams, OverloadParams
 from repro.experiments.registry import (
-    inf_inf_config,
-    inf_train_config,
-    train_train_config,
-)
-from repro.experiments.params import (
-    FaultsParams,
-    FleetParams,
-    LlmParams,
-    OverloadParams,
+    make_scenario,
+    override_keys,
+    scenario_names,
 )
 from repro.experiments.runner import get_profile
 from repro.experiments.scenario import Scenario, run as run_scenario
@@ -54,207 +54,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--hp", required=True, choices=MODEL_NAMES,
-                       help="high-priority model")
-        p.add_argument("--be", required=True, choices=MODEL_NAMES,
-                       help="best-effort model")
-        p.add_argument("--backend", default="orion",
-                       help="sharing technique (orion, reef, mps, streams, "
-                            "priority-streams, temporal, ticktock, ideal)")
-        p.add_argument("--duration", type=float, default=3.0,
-                       help="simulated seconds (default 3.0)")
+    def add_scenario(p):
+        p.add_argument("scenario",
+                       help="catalog scenario name (see 'repro scenarios')")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of a table")
+        p.add_argument("--duration", type=float, default=None,
+                       help="simulated seconds (default: the catalog's)")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
+                       help="scenario override (repeatable); values parse "
+                            "as JSON, falling back to strings")
 
-    p = sub.add_parser("inf-train", help="HP inference + BE training (§6.2.1)")
-    add_common(p)
-    p.add_argument("--arrivals", default="poisson",
-                   choices=("poisson", "apollo"))
-
-    p = sub.add_parser("train-train", help="HP training + BE training (§6.2.2)")
-    add_common(p)
-    p.add_argument("--sm-threshold", type=int, default=None,
-                   help="override SM_THRESHOLD (orion only)")
-
-    p = sub.add_parser("inf-inf", help="HP inference + BE inference (§6.2.3)")
-    add_common(p)
-    p.add_argument("--arrivals", default="apollo",
-                   choices=("apollo", "poisson"))
-
-    p = sub.add_parser("faults",
-                       help="fault-injection demo: kill clients mid-run, "
-                            "print the error/availability ledger")
-    p.add_argument("--backend", default="orion",
-                   choices=("orion", "reef", "streams", "priority-streams"),
-                   help="sharing technique")
-    p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
-    p.add_argument("--duration", type=float, default=0.2,
-                   help="simulated seconds (default 0.2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--kill", default="be-0",
-                   help="client to kill (hp, be-0, be-1, ...); "
-                        "'none' disables the kill")
-    p.add_argument("--kill-at", type=float, default=None,
-                   help="kill time in simulated seconds "
-                        "(default: 40%% of the horizon)")
-    p.add_argument("--be-clients", type=int, default=2,
-                   help="number of best-effort training clients")
-    p.add_argument("--watchdog", type=float, default=None, metavar="MULTIPLE",
-                   help="flag BE kernels overdue by MULTIPLE x their "
-                        "profiled duration (orion only)")
+    p = sub.add_parser("run",
+                       help="run one catalog scenario; print a summary or "
+                            "its canonical result JSON")
+    add_scenario(p)
     p.add_argument("--json", action="store_true",
-                   help="emit the canonical ledger JSON instead of a table")
-
-    p = sub.add_parser("fleet",
-                       help="multi-GPU resilience demo: crash/degrade GPUs "
-                            "mid-run, print the availability report")
-    p.add_argument("--num-gpus", type=int, default=8,
-                   help="GPUs in the fleet (default 8)")
-    p.add_argument("--backend", default="orion",
-                   choices=("orion", "reef", "streams", "priority-streams"),
-                   help="per-GPU sharing technique")
-    p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
-    p.add_argument("--duration", type=float, default=0.15,
-                   help="simulated seconds (default 0.15)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--crashes", type=int, default=1,
-                   help="GPUs to crash mid-run (default 1)")
-    p.add_argument("--degrades", type=int, default=1,
-                   help="GPUs to degrade mid-run (default 1)")
-    p.add_argument("--slowdown", type=float, default=3.0,
-                   help="degradation slowdown factor (default 3.0)")
-    p.add_argument("--recover-after", type=float, default=None,
-                   help="recover each victim this many seconds after its "
-                        "fault (default: never)")
-    p.add_argument("--be-tenants", type=int, default=2,
-                   help="best-effort tenants sharing the fleet (default 2)")
-    p.add_argument("--hp-load", type=float, default=0.25,
-                   help="high-priority offered load as a fraction of the "
-                        "fleet's aggregate solo capacity (default 0.25)")
-    p.add_argument("--be-load", type=float, default=0.35,
-                   help="total best-effort offered load as a fraction of "
-                        "the fleet's aggregate solo capacity (default 0.35)")
-    p.add_argument("--placement", default="all",
-                   choices=("all", "plan", "adversarial"),
-                   help="tenant residency: 'all' (every tenant on every "
-                        "GPU), 'plan' (interference-aware single-home), "
-                        "'adversarial' (worst-case packing, for rebalance "
-                        "demos)")
-    p.add_argument("--rebalance", action="store_true",
-                   help="attach the migration controller (requires "
-                        "--placement plan/adversarial)")
-    p.add_argument("--rebalance-interval", type=float, default=0.02,
-                   help="seconds between re-plan ticks (default 0.02)")
-    p.add_argument("--migration-cooldown", type=float, default=0.04,
-                   help="per-tenant quiet time after a move (default 0.04)")
-    p.add_argument("--max-inflight-migrations", type=int, default=1,
-                   help="concurrent migrations cap (default 1)")
-    p.add_argument("--min-gain", type=float, default=0.05,
-                   help="minimum predicted interference gain to consider "
-                        "a move (default 0.05)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the availability report JSON")
-    p.add_argument("--report-out", default=None,
-                   help="also write the availability report JSON here")
-    p.add_argument("--migration-report-out", default=None,
-                   help="write the migration controller's report JSON here")
-
-    p = sub.add_parser("overload",
-                       help="overload-protection demo: drive the service "
-                            "past capacity, print latency/shed/guard stats")
-    p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
-    p.add_argument("--duration", type=float, default=0.8,
-                   help="simulated seconds (default 0.8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--be-clients", type=int, default=2,
-                   help="number of best-effort inference clients")
-    p.add_argument("--hp-load", type=float, default=0.3,
-                   help="high-priority offered load as a fraction of solo "
-                        "capacity (default 0.3)")
-    p.add_argument("--be-load", type=float, default=2.0,
-                   help="total best-effort offered load as a fraction of "
-                        "solo capacity (default 2.0 — overload)")
-    p.add_argument("--arrivals", default="poisson",
-                   choices=("poisson", "burst", "ramp"),
-                   help="high-priority arrival process")
-    p.add_argument("--deadline-mult", type=float, default=20.0,
-                   help="best-effort request deadline as a multiple of the "
-                        "solo latency (0 disables shedding)")
-    p.add_argument("--slo-mult", type=float, default=1.2,
-                   help="HP latency SLO as a multiple of the solo latency")
-    p.add_argument("--no-guard", action="store_true",
-                   help="disable the adaptive SLO guard")
-    p.add_argument("--queue-depth", type=int, default=32,
-                   help="bound on each best-effort software queue "
-                        "(0 = unbounded)")
-    p.add_argument("--policy", default="block", choices=("block", "reject"),
-                   help="full-queue policy: backpressure or load shedding")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON (including the canonical ledger)")
-
-    p = sub.add_parser("llm",
-                       help="continuous-batching LLM serving demo: "
-                            "TTFT/TPOT/tokens-per-sec under collocation")
-    p.add_argument("--model", default="llm-small",
-                   help="LLM workload name from the registry "
-                        "(default llm-small)")
-    p.add_argument("--backend", default="orion",
-                   choices=("orion", "temporal", "streams",
-                            "priority-streams"),
-                   help="sharing technique")
-    p.add_argument("--duration", type=float, default=0.2,
-                   help="simulated seconds (default 0.2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--request-rate", type=float, default=80.0,
-                   help="Poisson request arrivals per second (default 80)")
-    p.add_argument("--prompt-mean", type=float, default=64.0,
-                   help="mean prompt length in tokens (default 64)")
-    p.add_argument("--prompt-cap", type=int, default=256,
-                   help="max prompt length in tokens (default 256)")
-    p.add_argument("--output-mean", type=float, default=8.0,
-                   help="mean output length in tokens (default 8)")
-    p.add_argument("--output-cap", type=int, default=64,
-                   help="max output length in tokens (default 64)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="continuous-batching decode batch cap (default 8)")
-    p.add_argument("--kv-budget-mb", type=float, default=None,
-                   help="KV-cache budget in MiB (default: whatever "
-                        "device memory is left)")
-    p.add_argument("--kv-block-tokens", type=int, default=16,
-                   help="tokens per KV-cache block (default 16)")
-    p.add_argument("--cache-policy", default="evict",
-                   choices=("evict", "block"),
-                   help="KV pressure policy: evict-and-requeue or "
-                        "block admission until the full reservation fits")
-    p.add_argument("--be-model", default="mobilenet_v2", choices=MODEL_NAMES,
-                   help="best-effort training model collocated with "
-                        "the serving loop")
-    p.add_argument("--be-clients", type=int, default=1,
-                   help="best-effort training clients (0 = solo)")
-    p.add_argument("--no-protect-prefill", action="store_true",
-                   help="disable the phase-aware prefill protection "
-                        "hint (orion only)")
-    p.add_argument("--ttft-slo-mult", type=float, default=3.0,
-                   help="TTFT SLO as a multiple of the solo prefill "
-                        "latency (default 3.0)")
-    p.add_argument("--warmup", type=float, default=0.0,
-                   help="exclude requests arriving before this time")
-    p.add_argument("--json", action="store_true",
-                   help="emit the canonical scenario JSON")
+                   help="print the canonical result JSON")
 
     p = sub.add_parser("trace",
-                       help="run a scenario with the tracer on; write the "
-                            "Chrome trace-event JSON (view in Perfetto)")
-    p.add_argument("scenario",
-                   choices=("overload", "inf-train", "train-train", "inf-inf"),
-                   help="which scenario to trace")
+                       help="run a catalog scenario with the tracer on; "
+                            "write the Chrome trace-event JSON (Perfetto)")
+    add_scenario(p)
     p.add_argument("--out", required=True,
                    help="Chrome trace-event JSON output path")
     p.add_argument("--metrics-out", default=None,
@@ -262,16 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribution-out", default=None,
                    help="also write the per-request queue-delay attribution "
                         "report JSON here")
-    p.add_argument("--hp", default="resnet50", choices=MODEL_NAMES,
-                   help="high-priority model (experiment scenarios)")
-    p.add_argument("--be", default="mobilenet_v2", choices=MODEL_NAMES,
-                   help="best-effort model (experiment scenarios)")
-    p.add_argument("--backend", default="orion",
-                   help="sharing technique (experiment scenarios)")
-    p.add_argument("--duration", type=float, default=0.4,
-                   help="simulated seconds (default 0.4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
     p.add_argument("--capacity", type=int, default=1 << 16,
                    help="tracer ring-buffer capacity in events")
     p.add_argument("--engine-events", action="store_true",
@@ -389,16 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit",
                        help="submit a job to a running serve daemon")
     add_address(p)
-    p.add_argument("scenario",
-                   help="registry scenario name (see 'repro scenarios')")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated-seconds override")
+    add_scenario(p)
     p.add_argument("--priority", type=int, default=0,
                    help="queue priority (higher dispatches first)")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
-                   help="scenario override (repeatable); values parse "
-                        "as JSON, falling back to strings")
     p.add_argument("--key", default=None, metavar="KEY",
                    help="idempotency key: re-submitting the same key "
                         "returns the original job id (survives daemon "
@@ -432,44 +235,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_scenario(args) -> Scenario:
-    if args.command == "inf-train":
-        config = inf_train_config(args.hp, args.be, args.backend,
-                                  arrivals=args.arrivals,
-                                  duration=args.duration, seed=args.seed,
-                                  device=args.device)
-    elif args.command == "train-train":
-        orion = {}
-        if args.sm_threshold is not None:
-            orion["sm_threshold"] = args.sm_threshold
-        config = train_train_config(args.hp, args.be, args.backend,
-                                    duration=args.duration, seed=args.seed,
-                                    device=args.device, orion=orion)
-    elif args.command == "inf-inf":
-        config = inf_inf_config(args.hp, args.be, args.backend,
-                                arrivals=args.arrivals,
-                                duration=args.duration, seed=args.seed,
-                                device=args.device)
-    else:
-        raise ValueError(f"unhandled command {args.command!r}")
-    return Scenario(kind="experiment", name=args.command, experiment=config)
+def _fail(message: str):
+    """Report a usage error as argparse does: an ``error:`` line, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _print_experiment(result, as_json: bool) -> None:
-    if as_json:
-        payload = {
-            name: {
-                "high_priority": job.high_priority,
-                "p50_ms": job.latency.p50 * 1e3,
-                "p99_ms": job.latency.p99 * 1e3,
-                "throughput": job.throughput,
-                "requests": job.latency.count,
-            }
-            for name, job in result.jobs.items()
-        }
-        payload["backend_stats"] = result.backend_stats
-        print(json.dumps(payload, indent=1, default=float))
-        return
+def _parse_override(item: str):
+    key, sep, value = item.partition("=")
+    if not sep or not key:
+        _fail(f"bad --set {item!r}; expected KEY=VAL")
+    try:
+        return key, json.loads(value)
+    except ValueError:
+        return key, value
+
+
+def _scenario(args) -> Scenario:
+    """``make_scenario`` over the positional name, --seed, --duration and
+    --set, with a bad name, key or value reported as a usage error."""
+    overrides = dict(_parse_override(item) for item in args.set)
+    try:
+        keys = override_keys(args.scenario)
+    except ValueError as exc:  # unknown name; the message lists them all
+        _fail(str(exc))
+    valid = ", ".join(keys)
+    unknown = sorted(set(overrides) - set(keys))
+    if unknown:
+        _fail(f"{args.scenario}: unknown --set key(s) {', '.join(unknown)}; "
+              f"valid: {valid}")
+    try:
+        return make_scenario(args.scenario, seed=args.seed,
+                             duration=args.duration, **overrides)
+    except (KeyError, TypeError, ValueError) as exc:
+        message = exc.args[0] if exc.args else exc  # KeyError str() quotes
+        _fail(f"{args.scenario}: {message}\nvalid --set keys: {valid}")
+
+
+def _print_latency(label: str, latency) -> None:
+    if latency.count:
+        print(f"{label}: p50 {latency.p50*1e3:.2f} ms   "
+              f"p99 {latency.p99*1e3:.2f} ms   ({latency.count} requests)")
+
+
+def _print_experiment(scenario, result) -> None:
     rows = []
     for name, job in result.jobs.items():
         rows.append([
@@ -484,74 +293,20 @@ def _print_experiment(result, as_json: bool) -> None:
         print(f"scheduler: {result.backend_stats}")
 
 
-def _run_faults(args) -> None:
-    from repro.faults import FaultPlan, KillClient
-
-    plan = FaultPlan(())
-    if args.kill != "none":
-        valid = ["hp"] + [f"be-{i}" for i in range(args.be_clients)]
-        if args.kill not in valid:
-            raise SystemExit(
-                f"error: --kill {args.kill!r} names no client in this "
-                f"scenario (choose from {', '.join(valid)}, or 'none')")
-        kill_at = args.kill_at if args.kill_at is not None \
-            else args.duration * 0.4
-        plan = FaultPlan((KillClient(args.kill, at_time=kill_at),))
-    params = FaultsParams(
-        seed=args.seed, duration=args.duration, plan=plan,
-        backend=args.backend, be_clients=args.be_clients,
-        model=args.model, device=args.device,
-        watchdog_multiple=args.watchdog,
-    ).to_params()
-    scenario = Scenario(kind="faults", name="faults", params=params)
-    result = run_scenario(scenario).result
-    if args.json:
-        print(result.ledger.to_json())
-        return
+def _print_faults(scenario, result) -> None:
     print("fault plan:")
     for line in result.plan.describe().splitlines():
         print(f"  {line}")
     print()
     print(result.ledger.format_table())
-    if result.hp_latency.count:
-        print(f"\nhp latency: p50 {result.hp_latency.p50*1e3:.2f} ms   "
-              f"p99 {result.hp_latency.p99*1e3:.2f} ms   "
-              f"({result.hp_latency.count} requests)")
+    print()
+    _print_latency("hp latency", result.hp_latency)
     if result.backend_stats:
         print(f"scheduler: {result.backend_stats}")
 
 
-def _run_fleet(args) -> None:
-    params = FleetParams(
-        seed=args.seed, duration=args.duration, num_gpus=args.num_gpus,
-        backend=args.backend, model=args.model, device=args.device,
-        crashes=args.crashes, degrades=args.degrades,
-        slowdown=args.slowdown, recover_after=args.recover_after,
-        hp_load=args.hp_load, be_load=args.be_load,
-        be_tenants=args.be_tenants,
-        placement=args.placement, rebalance=args.rebalance,
-        rebalance_interval=args.rebalance_interval,
-        migration_cooldown=args.migration_cooldown,
-        max_inflight_migrations=args.max_inflight_migrations,
-        migration_min_gain=args.min_gain,
-    ).to_params()
-    scenario = Scenario(kind="fleet", name="fleet", params=params)
-    result = run_scenario(scenario).result
+def _print_fleet(scenario, result) -> None:
     report = result.report
-    payload = json.dumps(report, indent=1, sort_keys=True)
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True,
-                                separators=(",", ":")))
-        print(f"wrote {args.report_out}")
-    if args.migration_report_out:
-        with open(args.migration_report_out, "w") as fh:
-            fh.write(json.dumps(result.migration, sort_keys=True,
-                                separators=(",", ":")))
-        print(f"wrote {args.migration_report_out}")
-    if args.json:
-        print(payload)
-        return
     print("fault plan:")
     for line in result.plan.describe().splitlines() or ["  (none)"]:
         print(f"  {line}")
@@ -570,10 +325,7 @@ def _run_fleet(args) -> None:
     print(f"\nfailover: {fo['orphaned']} orphaned, {fo['failovers']} "
           f"re-admitted ({fo['retry_exhausted']} gave up), "
           f"success rate {'n/a' if rate is None else f'{rate:.2f}'}")
-    if result.hp_latency.count:
-        print(f"hp latency: p50 {result.hp_latency.p50*1e3:.2f} ms   "
-              f"p99 {result.hp_latency.p99*1e3:.2f} ms   "
-              f"({result.hp_latency.count} requests)")
+    _print_latency("hp latency", result.hp_latency)
     if result.migration:
         mig = result.migration
         print(f"migrations: {mig['started']} started, "
@@ -588,49 +340,18 @@ def _run_fleet(args) -> None:
     print(result.ledger.format_table())
 
 
-def _run_overload(args) -> None:
-    params = OverloadParams(
-        seed=args.seed, duration=args.duration, model=args.model,
-        device=args.device, be_clients=args.be_clients,
-        hp_load=args.hp_load, be_load=args.be_load, arrivals=args.arrivals,
-        deadline_mult=args.deadline_mult or None, slo_mult=args.slo_mult,
-        guard=not args.no_guard, queue_depth=args.queue_depth or None,
-        policy=args.policy,
-    ).to_params()
-    scenario = Scenario(kind="overload", name="overload", params=params)
-    result = run_scenario(scenario).result
-    if args.json:
-        payload = {
-            "capacity_rps": result.capacity,
-            "solo_latency_ms": result.solo_latency * 1e3,
-            "slo_ms": None if result.slo is None else result.slo * 1e3,
-            "hp_p50_ms": result.hp_latency.p50 * 1e3,
-            "hp_p99_ms": result.hp_latency.p99 * 1e3,
-            "hp_requests": result.hp_latency.count,
-            "be_goodput_rps": result.be_goodput(args.duration),
-            "total_shed": result.total_shed(),
-            "backend_stats": result.backend_stats,
-            "queue_telemetry": result.queue_telemetry,
-            "guard_summary": result.guard_summary,
-            "guard_actions": result.guard_actions,
-            "ledger": json.loads(result.ledger.to_json()),
-        }
-        print(json.dumps(payload, indent=1, default=float))
-        return
-    offered = (args.hp_load + args.be_load) * result.capacity
+def _print_overload(scenario, result) -> None:
+    params = OverloadParams(**scenario.params)
+    load = params.hp_load + params.be_load
     print(f"capacity: {result.capacity:.1f} req/s   "
-          f"offered: {offered:.1f} req/s "
-          f"({args.hp_load + args.be_load:.1f}x)   "
+          f"offered: {load * result.capacity:.1f} req/s ({load:.1f}x)   "
           f"solo latency: {result.solo_latency*1e3:.2f} ms")
     if result.slo is not None:
         print(f"SLO: {result.slo*1e3:.2f} ms (guard on)")
     else:
         print("guard: off")
-    if result.hp_latency.count:
-        print(f"hp latency: p50 {result.hp_latency.p50*1e3:.2f} ms   "
-              f"p99 {result.hp_latency.p99*1e3:.2f} ms   "
-              f"({result.hp_latency.count} requests)")
-    print(f"be goodput: {result.be_goodput(args.duration):.1f} req/s   "
+    _print_latency("hp latency", result.hp_latency)
+    print(f"be goodput: {result.be_goodput(params.duration):.1f} req/s   "
           f"shed: {result.total_shed()}")
     print(f"scheduler: {result.backend_stats}")
     if result.guard_summary is not None:
@@ -642,28 +363,10 @@ def _run_overload(args) -> None:
     print(result.ledger.format_table())
 
 
-def _run_llm(args) -> None:
-    params = LlmParams(
-        seed=args.seed, duration=args.duration, model=args.model,
-        device=args.device, backend=args.backend,
-        request_rate=args.request_rate,
-        prompt_mean=args.prompt_mean, prompt_cap=args.prompt_cap,
-        output_mean=args.output_mean, output_cap=args.output_cap,
-        max_batch=args.max_batch, kv_budget_mb=args.kv_budget_mb,
-        kv_block_tokens=args.kv_block_tokens,
-        cache_policy=args.cache_policy,
-        be_model=args.be_model, be_clients=args.be_clients,
-        protect_prefill=not args.no_protect_prefill,
-        ttft_slo_mult=args.ttft_slo_mult, warmup=args.warmup,
-    ).to_params()
-    scenario = Scenario(kind="llm", name="llm", params=params)
-    wrapped = run_scenario(scenario)
-    if args.json:
-        print(wrapped.to_json())
-        return
-    result = wrapped.result
+def _print_llm(scenario, result) -> None:
+    params = LlmParams(**scenario.params)
     print(f"model: {result.model}   backend: {result.backend}   "
-          f"batch cap: {args.max_batch}   policy: {args.cache_policy}")
+          f"batch cap: {params.max_batch}   policy: {params.cache_policy}")
     print(f"requests: {result.requests_arrived} arrived, "
           f"{result.requests_completed} completed, "
           f"{result.requests_failed} failed")
@@ -687,6 +390,25 @@ def _run_llm(args) -> None:
         print(f"scheduler: {result.backend_stats}")
 
 
+#: scenario kind -> text summary of its result.
+_SUMMARIES = {
+    "experiment": _print_experiment,
+    "faults": _print_faults,
+    "fleet": _print_fleet,
+    "overload": _print_overload,
+    "llm": _print_llm,
+}
+
+
+def _run_run(args) -> None:
+    scenario = _scenario(args)
+    outcome = run_scenario(scenario)
+    if args.json:
+        print(outcome.to_json())
+    else:
+        _SUMMARIES[scenario.kind](scenario, outcome.result)
+
+
 def _run_trace(args) -> None:
     from repro.telemetry import (
         TelemetryConfig,
@@ -695,39 +417,28 @@ def _run_trace(args) -> None:
         format_attribution_table,
     )
 
+    scenario = _scenario(args)
     tcfg = TelemetryConfig(tracing=True, capacity=args.capacity,
                            engine_events=args.engine_events)
-    if args.scenario == "overload":
-        scenario = Scenario(kind="overload", name="trace:overload",
-                            params=dict(seed=args.seed,
-                                        duration=args.duration,
-                                        device=args.device, telemetry=tcfg))
+    if scenario.kind == "experiment":
+        scenario = dataclasses.replace(scenario, experiment=dataclasses.replace(
+            scenario.experiment, telemetry=tcfg, record_utilization=True))
+    elif scenario.kind == "faults":
+        _fail(f"{args.scenario}: faults scenarios take no telemetry, so "
+              "they cannot be traced")
     else:
-        import dataclasses
-
-        maker = {"inf-train": inf_train_config,
-                 "train-train": train_train_config,
-                 "inf-inf": inf_inf_config}[args.scenario]
-        # Build at the registry defaults, then rescale: the registry
-        # hardcodes a 0.5 s warmup, which would reject short traces.
-        config = maker(args.hp, args.be, args.backend, seed=args.seed,
-                       device=args.device)
-        config = dataclasses.replace(
-            config, duration=args.duration,
-            warmup=min(config.warmup, args.duration / 4),
-            telemetry=tcfg, record_utilization=True)
-        scenario = Scenario(kind="experiment",
-                            name=f"trace:{args.scenario}", experiment=config)
+        scenario = dataclasses.replace(
+            scenario, params={**scenario.params, "telemetry": tcfg})
     result = run_scenario(scenario).result
-    tracer, metrics = result.tracer, result.metrics
-    segments = result.utilization_segments
+    tracer = result.tracer
     with open(args.out, "w") as fh:
-        fh.write(export_chrome_trace(tracer, utilization_segments=segments))
+        fh.write(export_chrome_trace(tracer, utilization_segments=getattr(
+            result, "utilization_segments", ())))
     print(f"wrote {args.out}  ({len(tracer)} events, "
           f"{tracer.dropped} dropped)")
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
-            fh.write(metrics.to_json())
+            fh.write(result.metrics.to_json())
         print(f"wrote {args.metrics_out}")
     if args.attribution_out:
         with open(args.attribution_out, "w") as fh:
@@ -741,7 +452,6 @@ def _run_trace(args) -> None:
 
 
 def _run_sweep(args) -> None:
-    from repro.experiments.registry import scenario_names
     from repro.experiments.sweep import run_sweep, sweep_to_json
 
     scenarios = [s for s in args.scenarios.split(",") if s]
@@ -842,16 +552,6 @@ def _run_serve(args) -> int:
     server = ServeServer(config)
     print(f"listening on {server.start()}", flush=True)
     return server.serve_forever()
-
-
-def _parse_override(item: str):
-    key, sep, value = item.partition("=")
-    if not sep or not key:
-        raise SystemExit(f"error: bad --set {item!r}; expected KEY=VAL")
-    try:
-        return key, json.loads(value)
-    except ValueError:
-        return key, value
 
 
 def _run_submit(args) -> int:
@@ -963,45 +663,23 @@ def _run_profile(args) -> None:
     print(f"classes: {classes}")
 
 
+_COMMANDS = {
+    "run": _run_run,
+    "trace": _run_trace,
+    "sweep": _run_sweep,
+    "bench": _run_bench,
+    "profile": _run_profile,
+    "scenarios": _run_scenarios,
+    "serve": _run_serve,
+    "submit": _run_submit,
+    "status": _run_status,
+    "cancel": _run_cancel,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "profile":
-        _run_profile(args)
-        return 0
-    if args.command == "faults":
-        _run_faults(args)
-        return 0
-    if args.command == "fleet":
-        _run_fleet(args)
-        return 0
-    if args.command == "overload":
-        _run_overload(args)
-        return 0
-    if args.command == "llm":
-        _run_llm(args)
-        return 0
-    if args.command == "trace":
-        _run_trace(args)
-        return 0
-    if args.command == "sweep":
-        _run_sweep(args)
-        return 0
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "scenarios":
-        _run_scenarios(args)
-        return 0
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "submit":
-        return _run_submit(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "cancel":
-        return _run_cancel(args)
-    result = run_scenario(_experiment_scenario(args)).result
-    _print_experiment(result, args.json)
-    return 0
+    return _COMMANDS[args.command](args) or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

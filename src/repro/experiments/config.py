@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.gpu.specs import DEVICES
 from repro.telemetry.tracer import TelemetryConfig
 
 __all__ = ["JobSpec", "ExperimentConfig"]
@@ -23,6 +24,9 @@ class JobSpec:
     name: str = ""
 
     def __post_init__(self):
+        from repro.workloads.registry import get_workload
+
+        get_workload(self.model)  # unknown names fail here, not mid-run
         if self.kind not in ("inference", "training"):
             raise ValueError(f"bad job kind {self.kind!r}")
         if self.arrivals not in ("closed", "uniform", "poisson", "apollo"):
@@ -58,6 +62,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.jobs:
             raise ValueError("experiment needs at least one job")
+        if self.device not in DEVICES:
+            raise ValueError(f"device must be one of {tuple(sorted(DEVICES))}, "
+                             f"got {self.device!r}")
         if self.duration <= self.warmup:
             raise ValueError("duration must exceed warmup")
         names = [j.name for j in self.jobs]

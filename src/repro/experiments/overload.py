@@ -16,7 +16,7 @@ DESIGN.md §6.2:
 
 The Orion config deliberately starts with a *loose* DUR_THRESHOLD
 (``initial_dur_frac``), so the unguarded run demonstrates the breach
-the guard exists to fix.  Used by ``python -m repro overload``, the
+the guard exists to fix.  Used by ``python -m repro run overload``, the
 ``examples/overload.py`` demo, and ``benchmarks/test_overload_guard``.
 Fully deterministic under (seed, arguments).
 """

@@ -6,14 +6,16 @@ was only checked when the implementation function finally ran — a typo
 in a knob name surfaced minutes into a sweep instead of at build time.
 Each kind now has a frozen dataclass mirroring its implementation
 signature exactly; :func:`validate_params` is invoked from
-``Scenario.__post_init__`` so **every** construction path (CLI flags,
-``make_scenario`` overrides, serve-daemon submits, hand-built
-scenarios) fails fast on unknown keys or out-of-range values.
+``Scenario.__post_init__`` so **every** construction path (CLI
+``--set`` and ``make_scenario`` overrides, serve-daemon submits,
+hand-built scenarios) fails fast on unknown keys, out-of-range values
+and unknown model or device names.
 
 The dataclasses are also constructors: ``OverloadParams(be_clients=4)
 .to_params()`` renders the sparse override dict a ``Scenario`` carries
 (only non-default fields), which keeps ``describe()`` and the scenario
-catalog stable.  The CLI builds its params through these types.
+catalog stable.  ``OverloadParams(**scenario.params)`` reads a
+scenario's knobs back with the defaults filled in.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ __all__ = [
 _OVERLOAD_POLICIES = ("block", "reject")
 _CACHE_POLICIES = ("evict", "block")
 _LLM_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
+_SHARED_GPU_BACKENDS = ("orion", "reef", "streams", "priority-streams")
 _OVERLOAD_ARRIVALS = ("poisson", "burst", "ramp")
+_PLACEMENTS = ("all", "plan", "adversarial")
 
 
 class _ParamsBase:
@@ -68,6 +72,25 @@ class _ParamsBase:
         if value not in choices:
             raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
+    def _require_device(self) -> None:
+        from repro.gpu.specs import DEVICES
+
+        self._require_choice("device", tuple(sorted(DEVICES)))
+
+    def _require_workload(self, name: str, llm: bool = False) -> None:
+        """Check field ``name`` names a registered DNN (or, with ``llm``,
+        LLM) workload: the lookup the run would make, made up front."""
+        from repro.workloads.registry import get_workload
+
+        try:
+            workload = get_workload(getattr(self, name))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if (getattr(workload, "config", None) is not None) != llm:
+            family = "an LLM" if llm else "a DNN (not LLM)"
+            raise ValueError(f"{name} must be {family} workload, "
+                             f"got {workload.name!r}")
+
 
 @dataclass(frozen=True)
 class OverloadParams(_ParamsBase):
@@ -97,6 +120,8 @@ class OverloadParams(_ParamsBase):
         self._require_non_negative("be_clients", "be_load", "warmup")
         self._require_choice("policy", _OVERLOAD_POLICIES)
         self._require_choice("arrivals", _OVERLOAD_ARRIVALS)
+        self._require_device()
+        self._require_workload("model")
 
 
 @dataclass(frozen=True)
@@ -117,6 +142,9 @@ class FaultsParams(_ParamsBase):
     def __post_init__(self):
         self._require_positive("duration", "hp_rps", "watchdog_multiple")
         self._require_non_negative("be_clients", "warmup")
+        self._require_choice("backend", _SHARED_GPU_BACKENDS)
+        self._require_device()
+        self._require_workload("model")
 
 
 @dataclass(frozen=True)
@@ -163,6 +191,11 @@ class FleetParams(_ParamsBase):
                                    "migration_cooldown",
                                    "max_inflight_migrations",
                                    "migration_min_gain")
+        self._require_choice("backend", _SHARED_GPU_BACKENDS)
+        if isinstance(self.placement, str):
+            self._require_choice("placement", _PLACEMENTS)
+        self._require_device()
+        self._require_workload("model")
 
 
 @dataclass(frozen=True)
@@ -198,6 +231,9 @@ class LlmParams(_ParamsBase):
         self._require_non_negative("be_clients", "warmup")
         self._require_choice("cache_policy", _CACHE_POLICIES)
         self._require_choice("backend", _LLM_BACKENDS)
+        self._require_device()
+        self._require_workload("model", llm=True)
+        self._require_workload("be_model")
         if self.prompt_mean > self.prompt_cap:
             raise ValueError("prompt_mean must be <= prompt_cap")
         if self.output_mean > self.output_cap:

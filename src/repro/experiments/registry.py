@@ -13,11 +13,14 @@ references (fixed workloads and horizons, see DESIGN.md §6.4).
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.rates import rps_for
 
 from .config import ExperimentConfig, JobSpec
+from .params import PARAM_TYPES
 from .scenario import Scenario
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "solo_inference_config",
     "SCENARIOS",
     "make_scenario",
+    "override_keys",
     "scenario_names",
     "scenario_catalog",
 ]
@@ -139,6 +143,10 @@ def _experiment_scenario(name: str, maker: Callable,
         config = maker(hp, be, backend, seed=seed, **kwargs)
         return Scenario(kind="experiment", name=name, experiment=config)
 
+    build.keys = tuple(sorted(
+        ({"hp", "be"} | set(inspect.signature(maker).parameters)
+         | {f.name for f in fields(ExperimentConfig)})
+        - {"hp_model", "be_model", "kwargs", "jobs", "seed", "duration"}))
     return build
 
 
@@ -153,6 +161,8 @@ def _params_scenario(name: str, kind: str,
             params["duration"] = duration
         return Scenario(kind=kind, name=name, params=params)
 
+    build.keys = tuple(sorted(f.name for f in fields(PARAM_TYPES[kind])
+                              if f.name not in ("seed", "duration")))
     return build
 
 
@@ -216,6 +226,19 @@ def make_scenario(name: str, seed: int = 0,
         raise ValueError(f"unknown scenario {name!r}; "
                          f"known: {', '.join(sorted(SCENARIOS))}")
     return builder(seed=seed, duration=duration, **overrides)
+
+
+def override_keys(name: str) -> Tuple[str, ...]:
+    """The keyword overrides ``make_scenario(name, ...)`` accepts.
+
+    ``seed`` and ``duration`` are ``make_scenario``'s own arguments and
+    are not listed.  Used to explain a rejected ``--set``.
+    """
+    builder = SCENARIOS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown scenario {name!r}; "
+                         f"known: {', '.join(sorted(SCENARIOS))}")
+    return builder.keys
 
 
 def scenario_names() -> Tuple[str, ...]:

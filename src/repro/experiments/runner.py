@@ -20,20 +20,15 @@ from repro.metrics.throughput import throughput as throughput_of
 from repro.metrics.utilization import UtilizationAverages, average_utilization
 from repro.profiler.nsight import profile_plan
 from repro.profiler.profiles import ModelProfile
-from repro.sim.rng import RngFactory
+from repro.sim.rng import substream_seed
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.apollo import apollo_trace
-from repro.workloads.arrivals import (
-    ClosedLoop,
-    PoissonArrivals,
-    TraceArrivals,
-    UniformArrivals,
-)
+from repro.workloads.arrivals import make_arrivals
 from repro.workloads.clients import ClientStats, InferenceClient, TrainingClient
 from repro.workloads.registry import build_plan
 
-from .config import ExperimentConfig, JobSpec
+from .config import ExperimentConfig
 from .harness import Harness
 
 __all__ = ["ExperimentResult", "JobResult", "get_profile",
@@ -98,22 +93,6 @@ class ExperimentResult:
         return sum(j.throughput for j in self.jobs.values())
 
 
-def _make_arrivals(job: JobSpec, config: ExperimentConfig, rng_factory: RngFactory):
-    if job.arrivals == "closed":
-        return ClosedLoop()
-    if job.arrivals == "uniform":
-        return UniformArrivals(job.rps)
-    if job.arrivals == "poisson":
-        return PoissonArrivals(job.rps, rng_factory.stream(f"poisson:{job.name}"))
-    if job.arrivals == "apollo":
-        from repro.sim.rng import substream_seed
-
-        trace = apollo_trace(config.duration,
-                             seed=substream_seed(config.seed, f"apollo:{job.name}"))
-        return TraceArrivals(trace)
-    raise ValueError(f"unknown arrival kind {job.arrivals!r}")
-
-
 def simulate(config: ExperimentConfig) -> ExperimentResult:
     """Run one collocation experiment end to end."""
     h = Harness(config.seed, config.device, config.telemetry)
@@ -139,7 +118,15 @@ def simulate(config: ExperimentConfig) -> ExperimentResult:
             client = TrainingClient(h.sim, ctx, plan, h.device_spec,
                                     job.name, horizon=config.duration)
         else:
-            arrivals = _make_arrivals(job, config, h.rng)
+            rng = timestamps = None
+            if job.arrivals == "poisson":
+                rng = h.rng.stream(f"poisson:{job.name}")
+            elif job.arrivals == "apollo":
+                timestamps = apollo_trace(config.duration, seed=substream_seed(
+                    config.seed, f"apollo:{job.name}"))
+            arrivals = make_arrivals(
+                "trace" if timestamps is not None else job.arrivals,
+                job.rps, rng=rng, timestamps=timestamps)
             client = InferenceClient(h.sim, ctx, plan, h.device_spec,
                                      arrivals, job.name,
                                      horizon=config.duration)

@@ -6,7 +6,7 @@ client kills (and optionally kernel/transfer faults) mid-run.  Clients
 run under restart supervisors, so the scenario exercises the full
 recovery loop: death → deregistration (queue drained, stream destroyed,
 memory freed, scheduler state repaired) → backoff → re-registration →
-serving again.  Used by ``python -m repro faults``, the
+serving again.  Used by ``python -m repro run faults``, the
 ``examples/fault_tolerance.py`` demo, and the recovery benchmarks.
 """
 

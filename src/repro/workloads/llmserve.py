@@ -30,7 +30,8 @@ sharing, or the stream baselines), optionally collocates best-effort
 training clients, and returns an :class:`LlmServeResult` with the
 serving metrics the field cares about: TTFT, per-output-token latency
 (TPOT), and decode token goodput.  Fully deterministic under
-(seed, arguments); surfaced as ``Scenario(kind="llm")``.
+(seed, arguments); surfaced as ``Scenario(kind="llm")`` and used by
+``python -m repro run llm`` / ``trace llm_ref``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from repro.metrics.latency import LatencySummary
 from repro.runtime.client import ClientContext
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal, Timeout, spawn
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.tracer import NULL_TRACER
 
 from .arrivals import PoissonArrivals
 from .models.llm import LlmConfig, _decode_step_specs, _prefill_specs
@@ -565,6 +568,10 @@ class LlmServeResult:
     jobs: Dict = field(default_factory=dict)   #: best-effort ClientStats
     backend_stats: Dict = field(default_factory=dict)
     ledger: ErrorLedger = field(default_factory=ErrorLedger)
+    # The run's tracer (NULL_TRACER unless telemetry.tracing was set)
+    # and the backend's metrics registry.
+    tracer: object = NULL_TRACER
+    metrics: Optional[MetricsRegistry] = None
     events_processed: int = 0
     sim_time: float = 0.0
 
@@ -749,5 +756,7 @@ def simulate(
         jobs={job.name: job.stats for job in be_jobs},
         backend_stats=backend_stats,
         ledger=ledger,
+        tracer=h.tracer,
+        metrics=be_backend.metrics,
         **accounting,
     )

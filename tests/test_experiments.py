@@ -90,7 +90,7 @@ def test_solo_throughput_positive():
     assert solo_throughput("mobilenet_v2", "inference") > 100
 
 
-def test_run_experiment_end_to_end():
+def test_inf_train_orion_serves_hp_and_launches_be_kernels():
     cfg = inf_train_config("mobilenet_v2", "mobilenet_v2", "orion",
                            duration=1.0)
     cfg.warmup = 0.2
@@ -101,7 +101,7 @@ def test_run_experiment_end_to_end():
     assert result.backend_stats["be_kernels_launched"] > 0
 
 
-def test_run_experiment_unknown_backend():
+def test_unknown_backend_raises_value_error():
     cfg = inf_train_config("mobilenet_v2", "mobilenet_v2", "orion",
                            duration=1.0)
     cfg.backend = "magic"
@@ -109,7 +109,7 @@ def test_run_experiment_unknown_backend():
         run_config(cfg)
 
 
-def test_run_experiment_records_utilization():
+def test_solo_inference_records_utilization():
     cfg = solo_inference_config("mobilenet_v2", rps=50, duration=1.0,
                                 record_utilization=True)
     cfg.warmup = 0.2
@@ -119,7 +119,7 @@ def test_run_experiment_records_utilization():
     assert result.utilization_segments
 
 
-def test_run_experiment_deterministic():
+def test_same_seed_poisson_inf_inf_is_deterministic():
     def run():
         cfg = inf_inf_config("mobilenet_v2", "mobilenet_v2", "orion",
                              arrivals="poisson", duration=1.0, seed=11)

@@ -404,20 +404,37 @@ class TestEndToEnd:
                 assert client.scenarios() == scenario_catalog()
 
     def test_failed_job_records_error(self):
-        # A kind="llm" scenario pointed at a non-LLM workload passes
+        # Rebalancing a fleet whose tenants live everywhere passes
         # construction-time validation but raises when it runs, which
         # surfaces through the daemon as a FAILED job.
         with serve_daemon(workers=1) as (_, address):
             with ServeClient(address) as client:
                 job = client.submit(scenario={
-                    "kind": "llm",
-                    "params": {"duration": 0.05, "model": "resnet50"}})
+                    "kind": "fleet",
+                    "params": {"duration": 0.05, "rebalance": True}})
                 final = client.wait(job, timeout=120)
                 assert final["state"] == FAILED
-                assert "not an LLM workload" in final["error"]
+                assert "rebalance requires single-home" in final["error"]
                 with pytest.raises(ServeError) as excinfo:
                     client.result_json(job)
                 assert excinfo.value.code == "no_result"
+
+    def test_submit_rejects_unknown_model_and_device(self):
+        # Workload and device names resolve when the scenario is built,
+        # so a typo is refused at submit instead of failing a worker.
+        with serve_daemon(workers=0) as (_, address):
+            with ServeClient(address) as client:
+                for name, overrides, needle in (
+                        ("overload", {"model": "alexnet"}, "alexnet"),
+                        ("faults", {"device": "H100"}, "H100"),
+                        ("fleet", {"model": "llm-small"}, "llm-small"),
+                        ("llm", {"model": "resnet50"}, "LLM workload"),
+                        ("llm", {"be_model": "alexnet"}, "alexnet")):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.submit(name=name, overrides=overrides)
+                    assert excinfo.value.code == "bad_scenario"
+                    assert needle in str(excinfo.value)
+                assert client.status()["jobs"] == []
 
     def test_submit_validation_errors(self):
         with serve_daemon(workers=0) as (_, address):

@@ -351,13 +351,32 @@ class TestTraceCli:
     def test_trace_experiment_scenario(self, tmp_path):
         out = tmp_path / "trace.json"
         code = cli_main(["trace", "inf-train", "--out", str(out),
-                         "--duration", "0.05", "--hp", "mobilenet_v2",
-                         "--be", "mobilenet_v2"])
+                         "--duration", "0.05", "--set", "hp=mobilenet_v2",
+                         "--set", "be=mobilenet_v2", "--set", "warmup=0.01"])
         assert code == 0
         payload = json.loads(out.read_text())
         util_counters = [e for e in payload["traceEvents"]
                         if e["ph"] == "C" and e["name"] == "util.compute"]
         assert util_counters
+
+    @pytest.mark.parametrize("name", ["fleet_ref", "llm_ref"])
+    def test_trace_any_catalog_name(self, name, tmp_path):
+        out = tmp_path / "trace.json"
+        metrics_out = tmp_path / "metrics.json"
+        code = cli_main(["trace", name, "--out", str(out), "--duration",
+                         "0.04", "--metrics-out", str(metrics_out)])
+        assert code == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
+        assert json.loads(metrics_out.read_text())["counters"]
+
+    def test_trace_faults_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["trace", "faults", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "faults scenarios take no telemetry" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,35 @@ class TestTypedParams:
         scenario = Scenario(kind="llm", params={"max_batch": 16})
         assert scenario.params == {"max_batch": 16}
 
+    @pytest.mark.parametrize("kind,params,match", [
+        ("overload", {"model": "alexnet"}, "unknown workload 'alexnet'"),
+        ("faults", {"model": "alexnet"}, "unknown workload 'alexnet'"),
+        ("fleet", {"model": "alexnet"}, "unknown workload 'alexnet'"),
+        ("overload", {"model": "llm-small"}, "model must be a DNN"),
+        ("llm", {"model": "resnet50"}, "model must be an LLM"),
+        ("llm", {"model": "alexnet"}, "unknown workload 'alexnet'"),
+        ("llm", {"be_model": "alexnet"}, "be_model: unknown workload"),
+        ("llm", {"be_model": "llm"}, "be_model must be a DNN"),
+        ("overload", {"device": "H100"}, "device must be one of"),
+        ("faults", {"device": "H100"}, "device must be one of"),
+        ("fleet", {"device": "H100"}, "device must be one of"),
+        ("llm", {"device": "H100"}, "device must be one of"),
+        ("faults", {"backend": "mps"}, "backend must be one of"),
+        ("fleet", {"backend": "mps"}, "backend must be one of"),
+        ("fleet", {"placement": "random"}, "placement must be one of"),
+    ])
+    def test_names_resolve_at_construction(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            Scenario(kind=kind, params=params)
+
+    def test_experiment_names_resolve_at_construction(self):
+        from repro.experiments.registry import make_scenario
+
+        with pytest.raises(ValueError, match="unknown workload 'alexnet'"):
+            make_scenario("train-train", hp="alexnet")
+        with pytest.raises(ValueError, match="device must be one of"):
+            make_scenario("inf-train", device="H100")
+
     def test_fleet_surface_matches_implementation(self):
         import inspect
 
