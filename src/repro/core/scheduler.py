@@ -100,6 +100,13 @@ class OrionConfig(PolicyConfig):
             raise ValueError("fallback_hp_latency must be positive")
         if be_queue_depth is not None and be_queue_depth < 1:
             raise ValueError("be_queue_depth must be >= 1")
+        if be_queue_high_water is not None:
+            if be_queue_high_water < 1:
+                raise ValueError("be_queue_high_water must be >= 1")
+            if be_queue_depth is not None \
+                    and be_queue_high_water > be_queue_depth:
+                raise ValueError("be_queue_high_water must be <= "
+                                 "be_queue_depth")
         if overload_policy not in OVERLOAD_POLICIES:
             raise ValueError(f"overload_policy must be one of "
                              f"{OVERLOAD_POLICIES}, got {overload_policy!r}")
@@ -119,7 +126,7 @@ class OrionConfig(PolicyConfig):
 class _BeClientState:
     """Per-best-effort-client scheduling state."""
 
-    __slots__ = ("queue", "stream", "event", "outstanding", "policy")
+    __slots__ = ("queue", "stream", "event", "outstanding", "policy", "memo")
 
     def __init__(self, queue: SoftwareQueue, stream, policy: str = "block"):
         self.queue = queue
@@ -127,6 +134,11 @@ class _BeClientState:
         self.event = CudaEvent()
         self.outstanding = 0.0  # expected seconds of submitted-unfinished work
         self.policy = policy    # bounded-queue overflow policy
+        # Last block decision: (head op, its looked-up profile or None,
+        # outstanding, HP snapshot, reason).  Every input of
+        # be_block_reason is in the key, so a matching key repeats the
+        # decision without re-running the policy.
+        self.memo: Optional[tuple] = None
 
 
 class OrionBackend(Backend):
@@ -153,6 +165,9 @@ class OrionBackend(Backend):
         self._be_order: List[str] = []
         self._rr_index = 0
         self._current_hp: Optional[KernelOp] = None
+        # The HP side of be_block_reason's inputs, taken once per
+        # round-robin sweep (see _snapshot_hp).
+        self._hp_snapshot: Optional[tuple] = None
         self._wake = Signal(sim)
         self._started = False
         # EWMA of observed HP request latency (used when no profiled
@@ -433,12 +448,10 @@ class OrionBackend(Backend):
             return self.config.sm_threshold
         return self.device.spec.num_sms
 
-    def _be_profile(self, op: KernelOp) -> KernelProfile:
-        profile = self.profiles.lookup(op.spec.name)
-        if profile is not None:
-            return profile
-        # Unprofiled kernel: be conservative — treat as unknown profile
-        # with its static launch footprint and a pessimistic duration.
+    def _fallback_profile(self, op: KernelOp) -> KernelProfile:
+        """Stand-in for an unprofiled kernel: be conservative — treat it
+        as unknown profile with its static launch footprint and a
+        pessimistic duration.  Counts the miss."""
         self.profile_misses += 1
         return KernelProfile(
             kernel_id=op.spec.name,
@@ -483,7 +496,11 @@ class OrionBackend(Backend):
                     self._current_hp = op
                     self._watch_stream(inner)
                     progressed = True
-                # Best-effort clients: round-robin.
+                # Best-effort clients: round-robin.  Launching one
+                # changes no HP-side input, so one snapshot serves the
+                # whole sweep.
+                if self._be_order:
+                    self._snapshot_hp()
                 for offset in range(len(self._be_order)):
                     client_id = self._be_order[(self._rr_index + offset)
                                                % len(self._be_order)]
@@ -522,7 +539,7 @@ class OrionBackend(Backend):
                 op = in_flight.op
                 if not isinstance(op, KernelOp) or op.seq in self._watchdog_seen:
                     continue
-                # Profile lookup without the _be_profile miss counter:
+                # Profile lookup without the profile_misses counter:
                 # the watchdog polls, and polling must not skew stats.
                 profile = self.profiles.lookup(op.spec.name)
                 expected = profile.duration if profile is not None else op.duration
@@ -541,29 +558,57 @@ class OrionBackend(Backend):
                         "overdue_by": now - deadline,
                     })
 
+    def _snapshot_hp(self) -> None:
+        """Record the HP-side inputs of :func:`be_block_reason`, plus the
+        SLO guard's ``dur_threshold_frac``, which the policy reads from
+        the config.  An unchanged snapshot keeps its identity, so a
+        client's memo compares it with ``is``."""
+        hp_running = self.hp_task_running
+        snapshot = (hp_running,
+                    self._current_hp_profile() if hp_running else None,
+                    self.hp_request_latency, self.sm_threshold,
+                    self.be_admission_suspended,
+                    self._hp_transfers_active > 0,
+                    self._hp_phase == "prefill",
+                    self.config.dur_threshold_frac)
+        if snapshot != self._hp_snapshot:
+            self._hp_snapshot = snapshot
+
     def _try_launch_be(self, client_id: str) -> bool:
         state = self._be_state(client_id)
         op = state.queue.peek()
         if op is None:
             return False
-        be_profile = None if isinstance(op, MemoryOp) else self._be_profile(op)
+        is_kernel = not isinstance(op, MemoryOp)
+        profiled = self.profiles.lookup(op.spec.name) if is_kernel else None
         # Listing 1 accounts the duration budget per best-effort client:
         # reset it when this client's recorded CUDA event shows its
         # pipeline drained.
         if state.outstanding > 0 and state.event.query():
             state.outstanding = 0.0
-        hp_running = self.hp_task_running
+        snapshot = self._hp_snapshot
+        memo = state.memo
+        if (memo is not None and memo[0] is op and memo[1] is profiled
+                and memo[2] == state.outstanding and memo[3] is snapshot):
+            # Same inputs as the last evaluation: same decision, counted
+            # as an evaluation like any other.
+            if is_kernel and profiled is None:
+                self.profile_misses += 1
+            self._defer_be(client_id, memo[4])
+            return False
+        be_profile = None
+        if is_kernel:
+            be_profile = profiled if profiled is not None \
+                else self._fallback_profile(op)
+        (hp_running, hp_profile, hp_latency, sm_threshold, suspended,
+         pcie_hold, prefill, _dur_frac) = snapshot
         reason = be_block_reason(
-            self.config, be_profile, state.outstanding,
-            self.hp_request_latency, self.sm_threshold, hp_running,
-            self._current_hp_profile() if hp_running else None,
-            self.be_admission_suspended, self._hp_transfers_active > 0,
-            self._hp_phase == "prefill")
+            self.config, be_profile, state.outstanding, hp_latency,
+            sm_threshold, hp_running, hp_profile, suspended, pcie_hold,
+            prefill)
         if reason is not None:
-            self.be_kernels_deferred += 1
-            if reason == "prefill_protect":
-                self.prefill_deferrals += 1
-            self._trace_be_block(client_id, reason)
+            state.memo = (op, profiled, state.outstanding, snapshot, reason)
+            self._defer_be(client_id, reason)
             return False
         op, done = state.queue.pop()
         if be_profile is None:
@@ -583,7 +628,11 @@ class OrionBackend(Backend):
         self._wake_watchdog()
         return True
 
-    def _trace_be_block(self, client_id: str, reason: str) -> None:
+    def _defer_be(self, client_id: str, reason: str) -> None:
+        """Count one blocked evaluation, fresh or memoized."""
+        self.be_kernels_deferred += 1
+        if reason == "prefill_protect":
+            self.prefill_deferrals += 1
         if self.tracer.enabled:
             self.tracer.instant("scheduler", "be_block", client=client_id,
                                 reason=reason)

@@ -92,15 +92,6 @@ def profile_similarity(a: KernelOp, b: KernelOp) -> float:
     return min(1.0, dot / (norm_a * norm_b))
 
 
-def _pair_similarity(cache: Dict[tuple, float], a: KernelOp, b: KernelOp) -> float:
-    """Memoized :func:`profile_similarity` (symmetric) for one rates() call."""
-    key = (a.seq, b.seq) if a.seq < b.seq else (b.seq, a.seq)
-    sim = cache.get(key)
-    if sim is None:
-        sim = cache[key] = profile_similarity(a, b)
-    return sim
-
-
 class ContentionModel:
     """Computes progress rates for a resident kernel set."""
 
@@ -109,18 +100,6 @@ class ContentionModel:
             raise ValueError("num_sms must be >= 1")
         self.num_sms = num_sms
         self.params = params
-
-    def _priority_factor(self, own_priority: int, other_priority: int) -> float:
-        """How much of another kernel's demand this kernel experiences.
-
-        Equal priorities contend fully (1.0).  A higher-priority kernel
-        sees discounted interference from lower-priority co-runners,
-        while lower-priority kernels see amplified interference, roughly
-        conserving total throughput.
-        """
-        w_own = self.params.priority_weight_base**own_priority
-        w_other = self.params.priority_weight_base**other_priority
-        return 2.0 * w_other / (w_own + w_other)
 
     def rates(
         self, kernels: Sequence[KernelOp], priorities: Dict[int, int]
@@ -152,52 +131,61 @@ class ContentionModel:
         beta = params.beta_coresidency
         base = params.priority_weight_base
         num_sms = self.num_sms
-        sm_total = sum(k.sm_needed for k in kernels) / num_sms
-        sm_excess = max(0.0, sm_total - 1.0)
-        # Per-kernel priority weight (base**priority) computed once per
-        # kernel instead of twice per ordered pair.
-        weights = [base ** priorities.get(k.seq, 0) for k in kernels]
-        # profile_similarity is symmetric and appears in both the SM and
-        # residency terms; memoize per unordered pair for this call.
-        sim_cache: Dict[tuple, float] = {}
+        # Per-kernel inputs, read once; then one pass over the ordered
+        # pairs.  Each accumulator sees its terms in the same order, and
+        # every float expression keeps the operand order, of the
+        # per-pair reference formula (tests/test_properties.py), so the
+        # rates are bit-identical to it.  Kernel seqs are unique, so
+        # ``j != i`` is exactly the co-runner set.
+        rows = []
+        sm_sum = 0
+        for k in kernels:
+            c = k.compute_util
+            m = k.memory_util
+            s = k.sm_needed
+            sm_sum += s
+            rows.append((c, m, s, base ** priorities.get(k.seq, 0),
+                         math.hypot(c, m), min(1.0, s / num_sms)))
+        sm_excess = max(0.0, sm_sum / num_sms - 1.0)
+        use_sm = sm_excess > 0 and gamma > 0
+        use_residency = beta > 0
+        use_similarity = use_sm or use_residency
         result: Dict[int, float] = {}
-        for i, k in enumerate(kernels):
-            w_own = weights[i]
-            demand_c = k.compute_util
-            demand_m = k.memory_util
-            for idx, j in enumerate(kernels):
-                if j.seq == k.seq:
+        for i, (c_i, m_i, s_i, w_own, norm_i, _share) in enumerate(rows):
+            demand_c = c_i
+            demand_m = m_i
+            residency_term = 1.0
+            weighted = []  # profile_similarity(k, j) * s_j, SM term only
+            for j, (c_j, m_j, s_j, w_other, norm_j, share_j) in enumerate(rows):
+                if j == i:
                     continue
-                w_other = weights[idx]
                 factor = 2.0 * w_other / (w_own + w_other)
-                demand_c += j.compute_util * factor
-                demand_m += j.memory_util * factor
-            dominant = max(k.compute_util, k.memory_util, 1e-12)
-            w_c = k.compute_util / dominant
-            w_m = k.memory_util / dominant
+                demand_c += c_j * factor
+                demand_m += m_j * factor
+                if not use_similarity:
+                    continue
+                # profile_similarity(k, j), inlined.
+                if norm_i == 0 or norm_j == 0:
+                    similarity = 0.0
+                else:
+                    similarity = min(
+                        1.0, (c_i * c_j + m_i * m_j) / (norm_i * norm_j))
+                if use_sm:
+                    weighted.append(similarity * s_j)
+                if use_residency:
+                    residency_term *= 1.0 + (beta * similarity * share_j)
+            dominant = max(c_i, m_i, 1e-12)
+            w_c = c_i / dominant
+            w_m = m_i / dominant
             compute_term = (w_c * demand_c) ** alpha_c
             memory_term = (w_m * demand_m) ** alpha_m
             sm_term = 1.0
-            if sm_excess > 0 and gamma > 0:
-                sm_weight = sum(j.sm_needed for j in kernels if j.seq != k.seq)
+            if use_sm:
+                sm_weight = sm_sum - s_i
                 if sm_weight > 0:
-                    similarity = sum(
-                        _pair_similarity(sim_cache, k, j) * j.sm_needed
-                        for j in kernels
-                        if j.seq != k.seq
-                    ) / sm_weight
-                    sm_term = 1.0 + gamma * sm_excess * similarity
-            residency_term = 1.0
-            if beta > 0:
-                for j in kernels:
-                    if j.seq == k.seq:
-                        continue
-                    share = min(1.0, j.sm_needed / num_sms)
-                    residency_term *= 1.0 + (
-                        beta * _pair_similarity(sim_cache, k, j) * share
-                    )
+                    sm_term = 1.0 + gamma * sm_excess * (sum(weighted) / sm_weight)
             slowdown = max(1.0, compute_term, memory_term, sm_term, residency_term)
-            result[k.seq] = 1.0 / slowdown
+            result[kernels[i].seq] = 1.0 / slowdown
         return result
 
     def device_utilization(

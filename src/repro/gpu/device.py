@@ -108,6 +108,9 @@ class GpuDevice:
         self._sm_backlog = 0
         self._completion_event: Optional[ScheduledEvent] = None
         self._dispatch_scheduled = False
+        # A completion shrank the resident set; the same-time dispatch
+        # pass recomputes the rates once, after any admission.
+        self._rates_dirty = False
         self._last_rate_update = sim.now
         # Blocking memcpys in flight stall kernel dispatch.
         self._dispatch_blockers = 0
@@ -247,9 +250,9 @@ class GpuDevice:
         # any admission changes it.
         self._checkpoint()
         # A device-wide sync owns the device exclusively.
-        if self._sync_in_progress:
-            return
-        if self._pending_syncs:
+        if self._sync_in_progress or self._pending_syncs:
+            if self._rates_dirty:
+                self._recompute_rates()
             self._try_start_sync()
             return
         # Candidate streams with a ready head, priority first, then FIFO.
@@ -306,7 +309,7 @@ class GpuDevice:
             if self.tracer.enabled:
                 self.tracer.op_dispatch(op.client_id, op.seq, stream.name)
             changed = True
-        if changed:
+        if changed or self._rates_dirty:
             self._recompute_rates()
 
     def _admit_ok(self, op: KernelOp) -> bool:
@@ -359,6 +362,7 @@ class GpuDevice:
         self._recompute_rates()
 
     def _recompute_rates(self) -> None:
+        self._rates_dirty = False
         running = self.running.values()
         ops = [r.op for r in running]
         priorities = {r.op.seq: r.stream_op.stream.priority for r in running}
@@ -408,8 +412,10 @@ class GpuDevice:
                                         stream_op.stream.name,
                                         r.op.duration, True)
             to_signal.append(stream_op.done)
-        # Survivors may speed up now that co-runners left; recompute.
-        self._recompute_rates()
+        # Survivors may speed up now that co-runners left.  The
+        # dispatch pass queued here runs at this same instant and
+        # recomputes their rates once, after admitting any successor.
+        self._rates_dirty = True
         self._schedule_dispatch()
         for done in to_signal:
             done.trigger(self.sim.now)

@@ -2,10 +2,14 @@
 
 import pytest
 
+import repro.core.scheduler as scheduler_module
+from repro.core.policy import be_block_reason
 from repro.core.scheduler import OrionBackend, OrionConfig
+from repro.experiments.registry import make_scenario
+from repro.experiments.scenario import run as run_scenario
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import V100_16GB
-from repro.kernels.kernel import MemoryOpKind
+from repro.kernels.kernel import MemoryOp, MemoryOpKind
 from repro.profiler.profiles import KernelProfile, ProfileStore
 from repro.runtime.client import ClientContext
 from repro.runtime.host import HostThread
@@ -271,3 +275,133 @@ def test_interception_overhead_positive():
     sim = Simulator()
     backend, *_ = setup_backend(sim)
     assert 0 < backend.interception_overhead() < 2e-6
+
+
+def _drop_be_profile(backend):
+    backend.profiles.drop("be-short")
+
+
+def _relax_dur_threshold(backend):
+    # What the SLO guard does when the HP SLO recovers.
+    backend.config.dur_threshold_frac = 0.5
+
+
+@pytest.mark.parametrize("be_spec,hp_latency,blocked_by,change", [
+    # Same-profile collocation is blocked; unprofiled counts as
+    # unknown, which may co-run.
+    (compute_spec("be-short", duration=1e-4, sms=8), 0.1, "policy",
+     _drop_be_profile),
+    # A ~1 ms kernel is over 2.5% of the 10 ms HP latency but under 50%.
+    (memory_spec("be-short", duration=1e-3, blocks=8), 1e-2,
+     "dur_threshold", _relax_dur_threshold),
+])
+def test_change_off_the_hp_side_invalidates_memoized_block(
+        be_spec, hp_latency, blocked_by, change):
+    """A blocked BE kernel is re-judged on the next wake after a change
+    to its profile or to the policy config, even though nothing on the
+    HP side changed."""
+    sim = Simulator()
+    hp_op = make_kernel(compute_spec("hp-long", duration=5e-3),
+                        client_id="hp")
+    be_op = make_kernel(be_spec, client_id="be")
+    backend, _device, hp_ctx, be_ctx = setup_backend(
+        sim, OrionConfig(hp_request_latency=hp_latency),
+        ops=[hp_op, be_op])
+    done = {}
+
+    def client(ctx, op, delay):
+        yield Timeout(delay)
+        yield from ctx.launch_kernel(op)
+        yield from ctx.synchronize()
+        done[ctx.client_id] = sim.now
+
+    def change_at_1ms():
+        yield Timeout(1e-3)
+        assert backend._be_state("be").memo[4] == blocked_by
+        change(backend)
+        backend._wake_scheduler()
+
+    for proc in (client(hp_ctx, hp_op, 0.0), client(be_ctx, be_op, 1e-4),
+                 change_at_1ms()):
+        spawn(sim, proc)
+    sim.run()
+    # Re-judged at 1 ms, the BE kernel finishes before the 5 ms HP
+    # kernel instead of waiting it out.
+    assert done["be"] < done["hp"]
+
+
+def _live_block_reason(backend, state, op):
+    """be_block_reason over the backend's live state, without touching
+    any counter."""
+    outstanding = state.outstanding
+    if outstanding > 0 and state.event.query():
+        outstanding = 0.0
+    be_profile = None
+    if not isinstance(op, MemoryOp):
+        be_profile = backend.profiles.lookup(op.spec.name)
+        if be_profile is None:
+            misses = backend.profile_misses
+            be_profile = backend._fallback_profile(op)
+            backend.profile_misses = misses
+    hp_running = backend.hp_task_running
+    return be_block_reason(
+        backend.config, be_profile, outstanding,
+        backend.hp_request_latency, backend.sm_threshold, hp_running,
+        backend._current_hp_profile() if hp_running else None,
+        backend.be_admission_suspended, backend._hp_transfers_active > 0,
+        backend._hp_phase == "prefill")
+
+
+@pytest.mark.parametrize("name,overrides,reason", [
+    # 0.12 s lets the SLO guard tighten dur_threshold_frac twice.
+    ("overload", {"duration": 0.12, "be_clients": 4, "guard": True},
+     "dur_threshold"),
+    ("llm", {"duration": 0.1, "protect_prefill": True}, "prefill_protect"),
+    ("faults", {"duration": 0.1}, "dur_threshold"),
+    ("fleet_rebalance", {"duration": 0.05, "warmup": 0.01},
+     "dur_threshold"),
+    ("inf-inf", {"duration": 0.15, "warmup": 0.05,
+                 "orion": {"manage_pcie": True}}, "pcie_hold"),
+])
+def test_memoized_decisions_match_live_state(monkeypatch, name, overrides,
+                                             reason):
+    """Every admission decision, memo hits included, equals
+    be_block_reason evaluated on the live scheduler state at that
+    moment: a state input missing from the memo key shows up here."""
+    counts = {"fresh": 0, "hits": 0}
+    reasons = set()
+    deferred = []
+    fresh_rule = scheduler_module.be_block_reason
+    try_launch = OrionBackend._try_launch_be
+    defer = OrionBackend._defer_be
+
+    def counted_rule(*args):
+        counts["fresh"] += 1
+        return fresh_rule(*args)
+
+    def recorded_defer(self, client_id, why):
+        deferred.append(why)
+        defer(self, client_id, why)
+
+    def checked_try_launch(self, client_id):
+        state = self._be_state(client_id)
+        op = state.queue.peek()
+        if op is None:
+            return try_launch(self, client_id)
+        expected = _live_block_reason(self, state, op)
+        fresh_before = counts["fresh"]
+        deferred.clear()
+        launched = try_launch(self, client_id)
+        decided = None if launched else deferred[-1]
+        assert decided == expected, (self.sim.now, client_id)
+        if counts["fresh"] == fresh_before:
+            counts["hits"] += 1
+        reasons.add(decided)
+        return launched
+
+    monkeypatch.setattr(scheduler_module, "be_block_reason", counted_rule)
+    monkeypatch.setattr(OrionBackend, "_defer_be", recorded_defer)
+    monkeypatch.setattr(OrionBackend, "_try_launch_be", checked_try_launch)
+    run_scenario(make_scenario(name, seed=0, **overrides))
+    assert counts["hits"] > 0 and counts["fresh"] > 0
+    assert reason in reasons

@@ -203,6 +203,45 @@ def test_malloc_blocks_subsequent_dispatch(sim, device):
     assert record["k"] >= V100_16GB.device_sync_latency
 
 
+@pytest.mark.parametrize("pending_sync", [False, True])
+def test_survivor_speeds_up_when_corunner_completes(sim, device,
+                                                    pending_sync):
+    """When a co-runner completes, the survivor runs at its solo rate
+    from that instant on, both when the same-time dispatch pass admits
+    nothing (the next kernel waits behind the survivor on its stream)
+    and when the pass returns early behind a pending cudaMalloc."""
+    s_a, s_b, s_sync = (device.create_stream() for _ in range(3))
+    a = make_kernel(compute_spec("short", duration=1e-3))
+    b = make_kernel(memory_spec("long", duration=3e-3))
+    c = make_kernel(memory_spec("next", duration=1e-4))
+    corun = device.contention.rates([a, b], {})
+    solo = device.contention.rates([b], {})[b.seq]
+    t_a = a.duration / corun[a.seq]
+    assert t_a < b.duration / corun[b.seq]  # a finishes first
+    # The device's own float steps: advance b to t_a at the co-run
+    # rate, then finish the rest at the solo rate.
+    expected_b = t_a + (b.duration - t_a * corun[b.seq]) / solo
+    finished = {}
+
+    def run():
+        ops = {"a": s_a.submit(a), "b": s_b.submit(b), "c": s_b.submit(c)}
+        if pending_sync:
+            ops["sync"] = s_sync.submit(
+                MemoryOp(kind=MemoryOpKind.MALLOC, nbytes=1024))
+        for name, done in ops.items():
+            done.add_callback(
+                lambda _sig, name=name: finished.setdefault(name, sim.now))
+        yield ops["c"]
+
+    drive(sim, run())
+    assert finished["a"] == t_a
+    assert finished["b"] == expected_b
+    assert finished["c"] > finished["b"]
+    if pending_sync:
+        # The sync waited for the device to drain.
+        assert finished["b"] < finished["sync"] < finished["c"]
+
+
 def test_blocking_h2d_copy_stalls_kernel_dispatch(sim, device):
     s1, s2 = device.create_stream(), device.create_stream()
     copy_bytes = int(16e9 * 1e-3)  # ~1 ms on a 16 GB/s bus

@@ -242,6 +242,19 @@ def test_overload_config_validation():
         OrionConfig(fallback_hp_latency=0.0)
 
 
+def test_be_queue_high_water_validated_by_config():
+    # Rejected when the config is built, not later at register_client.
+    with pytest.raises(ValueError, match="be_queue_high_water"):
+        OrionConfig(be_queue_depth=4, be_queue_high_water=10)
+    with pytest.raises(ValueError, match="be_queue_high_water"):
+        OrionConfig(be_queue_high_water=0)
+    with pytest.raises(ValueError, match="be_queue_high_water"):
+        OrionConfig(be_queue_depth=4, be_queue_high_water=0)
+    assert OrionConfig(be_queue_depth=4,
+                       be_queue_high_water=4).be_queue_high_water == 4
+    assert OrionConfig(be_queue_high_water=3).be_queue_high_water == 3
+
+
 def test_fallback_hp_latency_routed_through_config():
     sim = Simulator()
     device = GpuDevice(sim, V100_16GB)

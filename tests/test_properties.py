@@ -6,12 +6,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.contention import ContentionModel, profile_similarity
+from repro.gpu.contention import (
+    ContentionModel,
+    ContentionParams,
+    profile_similarity,
+)
 from repro.gpu.memory import DeviceMemory, GpuOutOfMemoryError
 from repro.gpu.specs import V100_16GB
 from repro.kernels.classify import classify_kernel
 from repro.kernels.costmodel import instantiate_kernel, solo_duration
-from repro.kernels.kernel import KernelSpec, ResourceProfile
+from repro.kernels.kernel import KernelOp, KernelSpec, ResourceProfile
 from repro.kernels.launch import LaunchConfig, blocks_per_sm, sm_needed
 from repro.metrics.latency import percentile
 from repro.metrics.utilization import average_utilization
@@ -154,6 +158,104 @@ def test_device_utilization_bounded(ops):
     rates = model.rates(ops, {})
     c, m, s = model.device_utilization(ops, rates)
     assert 0 <= c <= 1 and 0 <= m <= 1 and 0 <= s <= 1
+
+
+def _reference_rates(model, kernels, priorities):
+    """The per-pair contention formula ``ContentionModel.rates`` was
+    first written as: the reference its single-pass form must equal
+    bit for bit."""
+    params = model.params
+    num_sms = model.num_sms
+    sm_total = sum(k.sm_needed for k in kernels) / num_sms
+    sm_excess = max(0.0, sm_total - 1.0)
+    base = params.priority_weight_base
+    result = {}
+    for k in kernels:
+        w_own = base ** priorities.get(k.seq, 0)
+        demand_c = k.compute_util
+        demand_m = k.memory_util
+        for j in kernels:
+            if j.seq == k.seq:
+                continue
+            w_other = base ** priorities.get(j.seq, 0)
+            factor = 2.0 * w_other / (w_own + w_other)
+            demand_c += j.compute_util * factor
+            demand_m += j.memory_util * factor
+        dominant = max(k.compute_util, k.memory_util, 1e-12)
+        w_c = k.compute_util / dominant
+        w_m = k.memory_util / dominant
+        compute_term = (w_c * demand_c) ** params.alpha_compute
+        memory_term = (w_m * demand_m) ** params.alpha_memory
+        sm_term = 1.0
+        if sm_excess > 0 and params.gamma_sm > 0:
+            sm_weight = sum(j.sm_needed for j in kernels if j.seq != k.seq)
+            if sm_weight > 0:
+                similarity = sum(
+                    profile_similarity(k, j) * j.sm_needed
+                    for j in kernels if j.seq != k.seq
+                ) / sm_weight
+                sm_term = 1.0 + params.gamma_sm * sm_excess * similarity
+        residency_term = 1.0
+        if params.beta_coresidency > 0:
+            for j in kernels:
+                if j.seq == k.seq:
+                    continue
+                share = min(1.0, j.sm_needed / num_sms)
+                residency_term *= 1.0 + (
+                    params.beta_coresidency * profile_similarity(k, j) * share)
+        slowdown = max(1.0, compute_term, memory_term, sm_term, residency_term)
+        result[k.seq] = 1.0 / slowdown
+    return result
+
+
+_RATES_SPEC = KernelSpec(name="prop-rates", flops=1e9, bytes_moved=1e6,
+                         launch=LaunchConfig(num_blocks=1,
+                                             threads_per_block=128))
+# Small utilizations leave the SM and residency terms as the maximum.
+_utils = st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.0, 1.0))
+
+
+@st.composite
+def resident_sets(draw):
+    """1-6 resident kernels (zero utilizations included) with mixed
+    stream priorities, either fitting in the SMs or oversubscribing
+    them."""
+    num_sms = V100_16GB.num_sms
+    n = draw(st.integers(1, 6))
+    oversubscribed = n > 1 and draw(st.booleans())
+    low, high = ((num_sms // n + 1, num_sms) if oversubscribed
+                 else (1, num_sms // n))
+    ops = [KernelOp(spec=_RATES_SPEC, duration=1e-4,
+                    compute_util=draw(_utils), memory_util=draw(_utils),
+                    sm_needed=draw(st.integers(low, high)),
+                    profile=ResourceProfile.UNKNOWN)
+           for _ in range(n)]
+    priorities = {op.seq: draw(st.integers(0, 2)) for op in ops
+                  if draw(st.booleans())}
+    assert (sum(op.sm_needed for op in ops) > num_sms) == oversubscribed
+    return ops, priorities
+
+
+@settings(max_examples=300)
+@given(resident_sets(),
+       st.sampled_from([0.0, 1.0, 1.7]), st.sampled_from([0.0, 0.15, 0.9]))
+def test_rates_match_reference_formula_exactly(resident, gamma, beta):
+    ops, priorities = resident
+    model = ContentionModel(V100_16GB.num_sms,
+                            ContentionParams(gamma_sm=gamma,
+                                             beta_coresidency=beta))
+    assert _outcome(model.rates, ops, priorities) == \
+        _outcome(_reference_rates, model, ops, priorities)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception type it raised: subnormal
+    utilizations can make a similarity's norm product 0.0, and then
+    both forms must fail alike."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
 
 
 # ----------------------------------------------------------------------
