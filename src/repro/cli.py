@@ -32,7 +32,6 @@ import dataclasses
 import json
 import sys
 
-from repro.experiments.params import LlmParams, OverloadParams
 from repro.experiments.registry import (
     make_scenario,
     override_keys,
@@ -341,7 +340,7 @@ def _print_fleet(scenario, result) -> None:
 
 
 def _print_overload(scenario, result) -> None:
-    params = OverloadParams(**scenario.params)
+    params = scenario.config
     load = params.hp_load + params.be_load
     print(f"capacity: {result.capacity:.1f} req/s   "
           f"offered: {load * result.capacity:.1f} req/s ({load:.1f}x)   "
@@ -364,7 +363,7 @@ def _print_overload(scenario, result) -> None:
 
 
 def _print_llm(scenario, result) -> None:
-    params = LlmParams(**scenario.params)
+    params = scenario.config
     print(f"model: {result.model}   backend: {result.backend}   "
           f"batch cap: {params.max_batch}   policy: {params.cache_policy}")
     print(f"requests: {result.requests_arrived} arrived, "

@@ -48,9 +48,10 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import Harness, client_context, make_backend
+from repro.experiments.params import SHARED_GPU_BACKENDS, FleetParams
 from repro.experiments.runner import get_profile
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, GpuCrash, GpuDegrade, GpuRecover
+from repro.faults.plan import FaultPlan
 from repro.frameworks.lowering import instantiate_plan
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import DeviceSpec
@@ -62,7 +63,7 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Interrupted, Process, Signal, Timeout, spawn
 from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
+from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.clients import ClientStats, RequestRecord
 from repro.workloads.registry import build_plan
@@ -87,9 +88,6 @@ __all__ = [
 ]
 
 _ROUND = 9
-
-#: Per-GPU backends a fleet can run (one shared device each).
-_BACKENDS = ("orion", "reef", "streams", "priority-streams")
 
 
 def _r(x: float) -> float:
@@ -387,7 +385,7 @@ class FleetGpu:
         self.backend = make_backend(
             fleet.backend_name, sim, lambda: GpuDevice(sim, spec),
             fleet.store, {"hp_request_latency": fleet.hp_latency},
-            fleet.tracer, choices=_BACKENDS)
+            fleet.tracer, choices=SHARED_GPU_BACKENDS)
         self.device = self.backend.device
         self.gil = HostGil(sim)
         self.workers = {}
@@ -1059,37 +1057,7 @@ def _default_tenants(capacity: float, num_gpus: int, model: str,
     return tenants
 
 
-def simulate(
-    seed: int = 0,
-    duration: float = 0.2,
-    num_gpus: int = 8,
-    backend: str = "orion",
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    tenants: Optional[Sequence[TenantSpec]] = None,
-    plan: Optional[FaultPlan] = None,
-    crashes: int = 1,
-    degrades: int = 1,
-    slowdown: float = 3.0,
-    recover_after: Optional[float] = None,
-    hp_load: float = 0.25,
-    be_load: float = 0.35,
-    be_tenants: int = 2,
-    interference_weight: float = 1.0,
-    health_weight: float = 4.0,
-    warmup: float = 0.0,
-    telemetry: Optional[TelemetryConfig] = None,
-    placement: object = "all",
-    max_tenants_per_gpu: int = 2,
-    rebalance: bool = False,
-    rebalance_interval: float = 0.02,
-    migration_cooldown: float = 0.04,
-    max_inflight_migrations: int = 1,
-    migration_min_gain: float = 0.05,
-    migration_cost_weight: float = 1.0,
-    measure_window: int = 32,
-    measure_min_samples: int = 8,
-) -> FleetResult:
+def simulate(p: FleetParams) -> FleetResult:
     """Run the fleet-resilience scenario and return its accounting.
 
     With no explicit ``plan``, a deterministic fleet plan is sampled
@@ -1109,93 +1077,76 @@ def simulate(
     periodically re-plans over measured interference and moves tenants
     through the cordon→drain→move→re-warm→uncordon state machine.
     """
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    if rebalance and placement == "all":
+    if p.rebalance and p.placement == "all":
         raise ValueError(
             "rebalance requires single-home placement "
             "(placement='plan'/'adversarial' or an explicit mapping); "
             "with placement='all' every tenant is already everywhere")
 
-    h = Harness(seed, device, telemetry)
+    h = Harness(p.seed, p.device, p.telemetry)
     sim, device_spec, store = h.sim, h.device_spec, h.store
 
+    plan = p.plan
     if plan is None:
         plan = FaultPlan.sample_fleet(
-            seed, num_gpus, horizon=duration, crashes=crashes,
-            degrades=degrades, slowdown=slowdown,
-            recover_after=recover_after)
-    non_fleet = [ev for ev in plan if not isinstance(
-        ev, (GpuCrash, GpuDegrade, GpuRecover))]
-    if non_fleet:
-        raise ValueError(
-            "fleet scenarios accept only GPU-level fault events "
-            f"(GpuCrash/GpuDegrade/GpuRecover); got {non_fleet[0]!r}")
-    if plan.max_gpu_index() >= num_gpus:
-        raise ValueError(
-            f"fault plan targets gpu {plan.max_gpu_index()} but the fleet "
-            f"has only {num_gpus} GPUs")
+            p.seed, p.num_gpus, horizon=p.duration, crashes=p.crashes,
+            degrades=p.degrades, slowdown=p.slowdown,
+            recover_after=p.recover_after)
 
-    models = {model} | ({t.model for t in tenants} if tenants else set())
+    tenants = p.tenants
+    models = {p.model} | ({t.model for t in tenants} if tenants else set())
     for m in sorted(models):
         store.add(get_profile(m, "inference", device_spec))
 
     if tenants is None:
-        capacity = 1.0 / get_profile(model, "inference",
+        capacity = 1.0 / get_profile(p.model, "inference",
                                      device_spec).request_latency
-        tenants = _default_tenants(capacity, num_gpus, model,
-                                   hp_load, be_load, be_tenants)
+        tenants = _default_tenants(capacity, p.num_gpus, p.model,
+                                   p.hp_load, p.be_load, p.be_tenants)
 
     assignment: Optional[Dict[str, int]] = None
-    if placement == "all":
-        assignment = None
-    elif placement in ("plan", "adversarial"):
+    if p.placement in ("plan", "adversarial"):
         signatures = {
             t.name: signature_of(
                 get_profile(t.model, "inference", device_spec), name=t.name)
             for t in tenants}
-        if placement == "plan":
+        if p.placement == "plan":
             placements = plan_placement(
                 sorted(signatures.values(), key=lambda s: s.name),
-                num_gpus, max_per_gpu=max_tenants_per_gpu)
-            assignment = {job.name: p.gpu
-                          for p in placements for job in p.jobs}
+                p.num_gpus, max_per_gpu=p.max_tenants_per_gpu)
+            assignment = {job.name: pl.gpu
+                          for pl in placements for job in pl.jobs}
         else:
             assignment = adversarial_assignment(
-                signatures, num_gpus, max_per_gpu=max_tenants_per_gpu)
-    elif isinstance(placement, dict):
-        assignment = dict(placement)
-    else:
-        raise ValueError(
-            f"placement must be 'all', 'plan', 'adversarial' or a "
-            f"tenant->gpu mapping; got {placement!r}")
+                signatures, p.num_gpus, max_per_gpu=p.max_tenants_per_gpu)
+    elif isinstance(p.placement, dict):
+        assignment = dict(p.placement)
 
     fleet = Fleet(
-        sim, num_gpus, tenants, device_spec, store, backend=backend,
+        sim, p.num_gpus, tenants, device_spec, store, backend=p.backend,
         rng_factory=h.rng, ledger=h.ledger, tracer=h.tracer,
-        interference_weight=interference_weight, health_weight=health_weight,
-        assignment=assignment, max_tenants_per_gpu=max_tenants_per_gpu,
+        interference_weight=p.interference_weight,
+        health_weight=p.health_weight,
+        assignment=assignment, max_tenants_per_gpu=p.max_tenants_per_gpu,
     )
     controller = None
-    if rebalance:
+    if p.rebalance:
         from repro.cluster.migration import (MigrationController,
                                              MigrationPolicy)
         controller = MigrationController(fleet, MigrationPolicy(
-            interval=rebalance_interval,
-            cooldown=migration_cooldown,
-            max_inflight=max_inflight_migrations,
-            min_gain=migration_min_gain,
-            cost_weight=migration_cost_weight,
-            measure_window=measure_window,
-            measure_min_samples=measure_min_samples,
+            interval=p.rebalance_interval,
+            cooldown=p.migration_cooldown,
+            max_inflight=p.max_inflight_migrations,
+            min_gain=p.migration_min_gain,
+            cost_weight=p.migration_cost_weight,
+            measure_window=p.measure_window,
+            measure_min_samples=p.measure_min_samples,
         ))
-    fleet.start(duration)
+    fleet.start(p.duration)
     if controller is not None:
-        controller.start(duration)
+        controller.start(p.duration)
     injector = FaultInjector(sim, plan, fleet=fleet, tracer=h.tracer).start()
-    accounting = h.run(duration)
+    accounting = h.run(p.duration)
 
     fleet.drain_unfinished()
     for entry in injector.log:
@@ -1205,9 +1156,9 @@ def simulate(
     hp_records = [r for name in hp_names
                   for r in fleet.stats[name].records]
     hp_records.sort(key=lambda r: (r.arrival, r.start, r.end))
-    hp_latency = summarize_latencies(hp_records, after=warmup)
+    hp_latency = summarize_latencies(hp_records, after=p.warmup)
 
-    report = availability_report(fleet, duration)
+    report = availability_report(fleet, p.duration)
     migration_lines = (controller.digest_lines()
                        if controller is not None else ())
     routing = {
@@ -1219,8 +1170,8 @@ def simulate(
     migration_report = (controller.migration_report()
                         if controller is not None else {})
     return FleetResult(
-        num_gpus=num_gpus,
-        backend=backend,
+        num_gpus=p.num_gpus,
+        backend=p.backend,
         plan=plan,
         tenants=fleet.tenants,
         jobs=dict(fleet.stats),

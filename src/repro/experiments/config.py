@@ -60,8 +60,13 @@ class ExperimentConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
     def __post_init__(self):
+        from repro.baselines import BASELINE_NAMES
+
         if not self.jobs:
             raise ValueError("experiment needs at least one job")
+        if self.backend not in BASELINE_NAMES:
+            raise ValueError(f"backend must be one of {BASELINE_NAMES}, "
+                             f"got {self.backend!r}")
         if self.device not in DEVICES:
             raise ValueError(f"device must be one of {tuple(sorted(DEVICES))}, "
                              f"got {self.device!r}")

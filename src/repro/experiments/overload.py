@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core import SloGuard, SloGuardConfig
+from repro.experiments.params import OverloadParams
 from repro.experiments.runner import get_profile
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
+from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.arrivals import make_arrivals
 from repro.workloads.clients import ClientStats, InferenceClient
 from repro.workloads.registry import build_plan
@@ -82,24 +83,7 @@ class OverloadResult:
         return sum(stats.shed for stats in self.jobs.values())
 
 
-def simulate(
-    seed: int = 0,
-    duration: float = 0.4,
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    be_clients: int = 2,
-    hp_load: float = 0.3,
-    be_load: float = 2.0,
-    arrivals: str = "poisson",
-    deadline_mult: Optional[float] = 20.0,
-    slo_mult: float = 1.2,
-    guard: bool = True,
-    queue_depth: Optional[int] = 32,
-    policy: str = "block",
-    initial_dur_frac: float = 0.35,
-    warmup: float = 0.0,
-    telemetry: Optional[TelemetryConfig] = None,
-) -> OverloadResult:
+def simulate(p: OverloadParams) -> OverloadResult:
     """Run the overload scenario and return its accounting.
 
     ``hp_load`` and ``be_load`` are offered loads as fractions of the
@@ -114,56 +98,49 @@ def simulate(
     software queues; ``initial_dur_frac`` is the (deliberately loose)
     starting DUR_THRESHOLD fraction the guard tightens from.
     """
-    if be_clients < 0:
-        raise ValueError("be_clients must be >= 0")
-    if hp_load <= 0:
-        raise ValueError("hp_load must be positive")
-    if be_load < 0:
-        raise ValueError("be_load must be >= 0")
-
-    h = Harness(seed, device, telemetry)
+    h = Harness(p.seed, p.device, p.telemetry)
     device_spec = h.device_spec
-    profile = get_profile(model, "inference", device_spec)
+    profile = get_profile(p.model, "inference", device_spec)
     h.store.add(profile)
     solo_latency = profile.request_latency
     capacity = 1.0 / solo_latency
-    slo = slo_mult * solo_latency
-    be_deadline = None if deadline_mult is None \
-        else deadline_mult * solo_latency
+    slo = p.slo_mult * solo_latency
+    be_deadline = None if p.deadline_mult is None \
+        else p.deadline_mult * solo_latency
 
     # Utilization segments feed the trace's device counters; recording
     # them without a tracer would only burn memory.
     backend = h.build_backend("orion", dict(
         hp_request_latency=solo_latency,
-        dur_threshold_frac=initial_dur_frac,
-        be_queue_depth=queue_depth,
-        overload_policy=policy,
+        dur_threshold_frac=p.initial_dur_frac,
+        be_queue_depth=p.queue_depth,
+        overload_policy=p.policy,
     ), record_utilization=h.tracer.enabled)
 
-    plan = build_plan(model, "inference")
-    hp_rps = hp_load * capacity
+    plan = build_plan(p.model, "inference")
+    hp_rps = p.hp_load * capacity
     hp_arrivals = make_arrivals(
-        arrivals, rps=hp_rps, rng=h.rng.stream("arrivals:hp"),
-        burst_rps=3.0 * hp_rps, burst_every=duration / 4,
-        burst_duration=duration / 16,
-        end_rps=3.0 * hp_rps, ramp_duration=duration,
+        p.arrivals, rps=hp_rps, rng=h.rng.stream("arrivals:hp"),
+        burst_rps=3.0 * hp_rps, burst_every=p.duration / 4,
+        burst_duration=p.duration / 16,
+        end_rps=3.0 * hp_rps, ramp_duration=p.duration,
     )
     clients: List[InferenceClient] = [InferenceClient(
         h.sim, h.ctx("hp", True, "inference"), plan, device_spec,
-        hp_arrivals, "hp", horizon=duration, ledger=h.ledger,
+        hp_arrivals, "hp", horizon=p.duration, ledger=h.ledger,
     )]
-    be_rps = (be_load * capacity / be_clients) if be_clients else 0.0
-    for i in range(be_clients):
+    be_rps = (p.be_load * capacity / p.be_clients) if p.be_clients else 0.0
+    for i in range(p.be_clients):
         name = f"be-{i}"
         clients.append(InferenceClient(
             h.sim, h.ctx(name, False, "inference"), plan, device_spec,
             make_arrivals("poisson", rps=be_rps,
                           rng=h.rng.stream(f"arrivals:{name}")),
-            name, horizon=duration, ledger=h.ledger, deadline=be_deadline,
+            name, horizon=p.duration, ledger=h.ledger, deadline=be_deadline,
         ))
 
     slo_guard: Optional[SloGuard] = None
-    if guard:
+    if p.guard:
         slo_guard = SloGuard(h.sim, backend, SloGuardConfig(
             slo=slo, check_interval=max(4.0 * solo_latency, 1e-4),
         )).start()
@@ -171,10 +148,10 @@ def simulate(
     backend.start()
     for client in clients:
         client.start()
-    accounting = h.run(duration)
+    accounting = h.run(p.duration)
 
     jobs = {c.name: c.stats for c in clients}
-    hp_latency = summarize_latencies(jobs["hp"].records, after=warmup)
+    hp_latency = summarize_latencies(jobs["hp"].records, after=p.warmup)
 
     backend_stats = {
         "be_kernels_launched": backend.be_kernels_launched,
@@ -186,7 +163,7 @@ def simulate(
     return OverloadResult(
         capacity=capacity,
         solo_latency=solo_latency,
-        slo=slo if guard else None,
+        slo=slo if p.guard else None,
         hp_latency=hp_latency,
         jobs=jobs,
         ledger=h.ledger,

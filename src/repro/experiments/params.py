@@ -1,21 +1,18 @@
-"""Typed per-kind scenario parameter surfaces.
+"""Typed per-kind scenario parameters: the one definition of each knob.
 
-Before this module, the non-experiment scenario kinds (overload,
-faults, fleet, llm) each carried an untyped ``params`` kwargs dict that
-was only checked when the implementation function finally ran — a typo
-in a knob name surfaced minutes into a sweep instead of at build time.
-Each kind now has a frozen dataclass mirroring its implementation
-signature exactly; :func:`validate_params` is invoked from
-``Scenario.__post_init__`` so **every** construction path (CLI
-``--set`` and ``make_scenario`` overrides, serve-daemon submits,
-hand-built scenarios) fails fast on unknown keys, out-of-range values
-and unknown model or device names.
+Each params-kind scenario family (overload, faults, fleet, llm) has a
+frozen dataclass here that holds every knob's name, default and range
+check.  The family's ``simulate`` takes that dataclass as its only
+argument, so there is no second copy of the surface to keep in step.
+:func:`validate_params` is invoked from ``Scenario.__post_init__`` so
+**every** construction path (CLI ``--set`` and ``make_scenario``
+overrides, serve-daemon submits, hand-built scenarios) fails fast on
+unknown keys, out-of-range values, unknown model or device names and
+fault plans that target something the run does not have.
 
-The dataclasses are also constructors: ``OverloadParams(be_clients=4)
-.to_params()`` renders the sparse override dict a ``Scenario`` carries
-(only non-default fields), which keeps ``describe()`` and the scenario
-catalog stable.  ``OverloadParams(**scenario.params)`` reads a
-scenario's knobs back with the defaults filled in.
+A ``Scenario`` carries the sparse override dict (``to_params()``
+renders one: only non-default fields); ``Scenario.config`` builds the
+dataclass from it with the defaults filled in.
 """
 
 from __future__ import annotations
@@ -29,15 +26,20 @@ __all__ = [
     "FleetParams",
     "LlmParams",
     "PARAM_TYPES",
+    "SHARED_GPU_BACKENDS",
+    "LLM_BACKENDS",
     "validate_params",
 ]
 
-# Kept as literals (not imports) so scenario construction stays light;
-# the implementations assert the same sets at run time.
+#: Backends the faults and fleet families run on (one shared device per
+#: GPU), and those the LLM serving family runs on; the families pass
+#: these to ``make_backend(choices=...)``.
+SHARED_GPU_BACKENDS = ("orion", "reef", "streams", "priority-streams")
+LLM_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
+
+# Kept as literals (not imports) so scenario construction stays light.
 _OVERLOAD_POLICIES = ("block", "reject")
 _CACHE_POLICIES = ("evict", "block")
-_LLM_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
-_SHARED_GPU_BACKENDS = ("orion", "reef", "streams", "priority-streams")
 _OVERLOAD_ARRIVALS = ("poisson", "burst", "ramp")
 _PLACEMENTS = ("all", "plan", "adversarial")
 
@@ -88,8 +90,16 @@ class _ParamsBase:
             raise ValueError(f"{name}: {exc}") from None
         if (getattr(workload, "config", None) is not None) != llm:
             family = "an LLM" if llm else "a DNN (not LLM)"
-            raise ValueError(f"{name} must be {family} workload, "
-                             f"got {workload.name!r}")
+            raise ValueError(f"{name} must be {family} workload; "
+                             f"{workload.name!r} is {'not ' if llm else ''}"
+                             "an LLM workload")
+
+    def _require_plan(self) -> None:
+        from repro.faults.plan import FaultPlan
+
+        if self.plan is not None and not isinstance(self.plan, FaultPlan):
+            raise ValueError(f"plan must be a FaultPlan, "
+                             f"got {type(self.plan).__name__}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ class FaultsParams(_ParamsBase):
 
     seed: int = 0
     duration: float = 0.2
-    plan: Optional[object] = None   #: FaultPlan; None samples from seed
+    plan: Optional[object] = None   #: FaultPlan; None kills be-0 at 40%
     backend: str = "orion"
     be_clients: int = 2
     model: str = "mobilenet_v2"
@@ -140,11 +150,30 @@ class FaultsParams(_ParamsBase):
     warmup: float = 0.0
 
     def __post_init__(self):
+        from repro.faults.plan import KillClient
+
         self._require_positive("duration", "hp_rps", "watchdog_multiple")
         self._require_non_negative("be_clients", "warmup")
-        self._require_choice("backend", _SHARED_GPU_BACKENDS)
+        self._require_choice("backend", SHARED_GPU_BACKENDS)
         self._require_device()
         self._require_workload("model")
+        self._require_plan()
+        targets = {"hp"} | {f"be-{i}" for i in range(self.be_clients)}
+        for event in self.fault_plan():
+            if isinstance(event, KillClient) and event.client not in targets:
+                raise ValueError(
+                    f"fault plan targets unknown client {event.client!r}; "
+                    f"this scenario has {sorted(targets)}")
+
+    def fault_plan(self):
+        """The plan the run injects: ``plan``, or by default a kill of
+        ``be-0`` at 40% of the horizon (the paper-style "BE job dies, HP
+        job must not notice" experiment)."""
+        from repro.faults.plan import FaultPlan, KillClient
+
+        if self.plan is not None:
+            return self.plan
+        return FaultPlan((KillClient("be-0", at_time=self.duration * 0.4),))
 
 
 @dataclass(frozen=True)
@@ -158,7 +187,7 @@ class FleetParams(_ParamsBase):
     model: str = "mobilenet_v2"
     device: str = "V100-16GB"
     tenants: Optional[object] = None  #: Sequence[TenantSpec]
-    plan: Optional[object] = None     #: FaultPlan
+    plan: Optional[object] = None     #: FaultPlan; None samples from seed
     crashes: int = 1
     degrades: int = 1
     slowdown: float = 3.0
@@ -191,11 +220,29 @@ class FleetParams(_ParamsBase):
                                    "migration_cooldown",
                                    "max_inflight_migrations",
                                    "migration_min_gain")
-        self._require_choice("backend", _SHARED_GPU_BACKENDS)
+        self._require_choice("backend", SHARED_GPU_BACKENDS)
         if isinstance(self.placement, str):
             self._require_choice("placement", _PLACEMENTS)
+        elif not isinstance(self.placement, dict):
+            raise ValueError(
+                f"placement must be one of {_PLACEMENTS} or a tenant->gpu "
+                f"mapping, got {self.placement!r}")
         self._require_device()
         self._require_workload("model")
+        self._require_plan()
+        if self.plan is not None:
+            from repro.faults.plan import GpuCrash, GpuDegrade, GpuRecover
+
+            non_fleet = [ev for ev in self.plan if not isinstance(
+                ev, (GpuCrash, GpuDegrade, GpuRecover))]
+            if non_fleet:
+                raise ValueError(
+                    "fleet scenarios accept only GPU-level fault events "
+                    f"(GpuCrash/GpuDegrade/GpuRecover); got {non_fleet[0]!r}")
+            if self.plan.max_gpu_index() >= self.num_gpus:
+                raise ValueError(
+                    f"fault plan targets gpu {self.plan.max_gpu_index()} but "
+                    f"the fleet has only {self.num_gpus} GPUs")
 
 
 @dataclass(frozen=True)
@@ -230,7 +277,7 @@ class LlmParams(_ParamsBase):
                                "kv_block_tokens", "ttft_slo_mult")
         self._require_non_negative("be_clients", "warmup")
         self._require_choice("cache_policy", _CACHE_POLICIES)
-        self._require_choice("backend", _LLM_BACKENDS)
+        self._require_choice("backend", LLM_BACKENDS)
         self._require_device()
         self._require_workload("model", llm=True)
         self._require_workload("be_model")
@@ -250,8 +297,9 @@ PARAM_TYPES = {
 }
 
 
-def validate_params(kind: str, params: Mapping[str, Any]) -> None:
-    """Fail fast on unknown or out-of-range knobs for ``kind``.
+def validate_params(kind: str, params: Mapping[str, Any]):
+    """Build ``kind``'s typed params from ``params``, failing fast on
+    unknown or out-of-range knobs; None for a kind without typed params.
 
     Raises ``ValueError`` naming the offending key (with the valid
     surface) or the out-of-range value.  Does not mutate or expand
@@ -259,11 +307,11 @@ def validate_params(kind: str, params: Mapping[str, Any]) -> None:
     """
     cls = PARAM_TYPES.get(kind)
     if cls is None:
-        return
+        return None
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(params) - known)
     if unknown:
         raise ValueError(
             f"unknown {kind} scenario parameter(s) {', '.join(unknown)}; "
             f"valid: {', '.join(sorted(known))}")
-    cls(**params)  # range/choice checks in __post_init__
+    return cls(**params)  # range/choice checks in __post_init__

@@ -218,8 +218,8 @@ def make_scenario(name: str, seed: int = 0,
 
     ``seed``/``duration`` apply uniformly to every scenario family;
     remaining keyword overrides go to the family's config surface
-    (``ExperimentConfig`` builder kwargs for experiment scenarios,
-    implementation kwargs for overload/faults scenarios).
+    (``ExperimentConfig`` builder kwargs for experiment scenarios, the
+    kind's typed params fields for the others).
     """
     builder = SCENARIOS.get(name)
     if builder is None:

@@ -3,8 +3,11 @@
 A :class:`Scenario` describes any run: ``kind`` selects the family,
 ``experiment`` carries the full
 :class:`~repro.experiments.config.ExperimentConfig` for collocation
-runs, and ``params`` carries the keyword surface of the other families
-(overload, faults, fleet, llm) verbatim.
+runs, and ``params`` carries the sparse knob overrides of the other
+families (overload, faults, fleet, llm).  ``scenario.config`` is the
+one typed argument the family's ``simulate`` takes: the
+``ExperimentConfig``, or the kind's params dataclass built from
+``params``.
 
 ``run(scenario)`` executes any of them and returns a
 :class:`ScenarioResult` wrapping the family-specific result object plus
@@ -66,9 +69,14 @@ class Scenario:
         The :class:`ExperimentConfig` payload — required for (and
         exclusive to) ``kind="experiment"``.
     ``params``
-        Keyword arguments for the params-kind implementations,
-        validated at construction against the kind's typed surface
-        (:mod:`repro.experiments.params`) and passed through verbatim.
+        Sparse knob overrides for the params kinds, validated at
+        construction against the kind's typed surface
+        (:mod:`repro.experiments.params`).
+
+    ``config`` (set at construction, not a field) is the family's typed
+    configuration with every default filled in: the ``ExperimentConfig``,
+    or the kind's params dataclass built from ``params``.  It is the one
+    argument the family's ``simulate`` takes.
     """
 
     kind: str
@@ -85,42 +93,21 @@ class Scenario:
             if self.experiment is None:
                 raise ValueError(
                     "kind='experiment' requires an ExperimentConfig payload")
+            config = self.experiment
         elif self.experiment is not None:
             raise ValueError(
                 f"kind={self.kind!r} is configured via params, "
                 "not an ExperimentConfig")
         else:
-            validate_params(self.kind, self.params)
+            config = validate_params(self.kind, self.params)
+        object.__setattr__(self, "config", config)
         object.__setattr__(self, "params", dict(self.params))
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
     @property
     def seed(self) -> int:
-        if self.kind == "experiment":
-            return self.experiment.seed
-        return int(self.params.get("seed", 0))
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Simulated horizon; None means the implementation's default."""
-        if self.kind == "experiment":
-            return self.experiment.duration
-        value = self.params.get("duration")
-        return None if value is None else float(value)
-
-    def describe(self) -> str:
-        if self.kind == "experiment":
-            cfg = self.experiment
-            jobs = "+".join(j.model for j in cfg.jobs)
-            return (f"{self.name}: {cfg.backend} {jobs} "
-                    f"seed={cfg.seed} duration={cfg.duration:g}s")
-        extras = {k: v for k, v in sorted(self.params.items())
-                  if k not in ("seed", "duration")}
-        dur = "default" if self.duration is None else f"{self.duration:g}s"
-        return (f"{self.name}: {self.kind} seed={self.seed} "
-                f"duration={dur} {extras}" if extras else
-                f"{self.name}: {self.kind} seed={self.seed} duration={dur}")
+        return self.config.seed
 
 
 @dataclass
@@ -173,10 +160,7 @@ def run(scenario: Scenario) -> ScenarioResult:
     """
     start = time.perf_counter()
     simulate = importlib.import_module(_FAMILIES[scenario.kind]).simulate
-    if scenario.kind == "experiment":
-        result = simulate(scenario.experiment)
-    else:
-        result = simulate(**scenario.params)
+    result = simulate(scenario.config)
     wall = time.perf_counter() - start
     return ScenarioResult(scenario=scenario, result=result,
                           events_processed=result.events_processed,

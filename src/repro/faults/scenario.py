@@ -13,10 +13,11 @@ serving again.  Used by ``python -m repro run faults``, the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core import OrionBackend
 from repro.experiments.harness import Harness
+from repro.experiments.params import SHARED_GPU_BACKENDS, FaultsParams
 from repro.experiments.runner import get_profile
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
@@ -29,12 +30,9 @@ from repro.workloads.clients import (
 from repro.workloads.registry import build_plan
 
 from .injector import FaultInjector
-from .plan import FaultPlan, KillClient
+from .plan import FaultPlan
 
 __all__ = ["FaultScenarioResult"]
-
-#: Backends the fault scenario runs on (one shared device).
-_BACKENDS = ("orion", "reef", "streams", "priority-streams")
 
 
 @dataclass
@@ -55,59 +53,40 @@ class FaultScenarioResult:
         return self.jobs["hp"]
 
 
-def simulate(
-    seed: int = 0,
-    duration: float = 0.2,
-    plan: Optional[FaultPlan] = None,
-    backend: str = "orion",
-    be_clients: int = 2,
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    hp_rps: float = 100.0,
-    watchdog_multiple: Optional[float] = None,
-    warmup: float = 0.0,
-) -> FaultScenarioResult:
+def simulate(p: FaultsParams) -> FaultScenarioResult:
     """Run the collocation-under-faults scenario and return its ledger.
 
-    With no explicit ``plan``, the first best-effort client is killed at
-    40% of the horizon — the paper-style "BE job dies, HP job must not
-    notice" experiment.  Fully deterministic under (seed, arguments).
+    The injected plan is ``p.fault_plan()``: by default the first
+    best-effort client is killed at 40% of the horizon.  Fully
+    deterministic under (seed, arguments).
     """
-    if plan is None:
-        plan = FaultPlan((KillClient("be-0", at_time=duration * 0.4),))
-    valid_targets = {"hp"} | {f"be-{i}" for i in range(be_clients)}
-    for event in plan:
-        if isinstance(event, KillClient) and event.client not in valid_targets:
-            raise ValueError(
-                f"fault plan targets unknown client {event.client!r}; "
-                f"this scenario has {sorted(valid_targets)}")
-
-    h = Harness(seed, device)
+    plan = p.fault_plan()
+    h = Harness(p.seed, p.device)
     device_spec = h.device_spec
-    inf_profile = get_profile(model, "inference", device_spec)
+    inf_profile = get_profile(p.model, "inference", device_spec)
     h.store.add(inf_profile)
-    h.store.add(get_profile(model, "training", device_spec))
-    be = h.build_backend(backend, dict(
+    h.store.add(get_profile(p.model, "training", device_spec))
+    be = h.build_backend(p.backend, dict(
         hp_request_latency=inf_profile.request_latency,
-        watchdog_multiple=watchdog_multiple,
-    ), choices=_BACKENDS)
+        watchdog_multiple=p.watchdog_multiple,
+    ), choices=SHARED_GPU_BACKENDS)
 
     clients: List = []
-    hp_plan = build_plan(model, "inference")
+    hp_plan = build_plan(p.model, "inference")
     hp = RestartingInferenceClient(
         h.sim, h.ctx("hp", True, "inference"), hp_plan, device_spec,
-        PoissonArrivals(hp_rps, h.rng.stream("poisson:hp")),
-        "hp", horizon=duration,
+        PoissonArrivals(p.hp_rps, h.rng.stream("poisson:hp")),
+        "hp", horizon=p.duration,
         ctx_factory=lambda: h.ctx("hp", True, "inference"),
         ledger=h.ledger,
     )
     clients.append(hp)
-    train_plan = build_plan(model, "training")
-    for i in range(be_clients):
+    train_plan = build_plan(p.model, "training")
+    for i in range(p.be_clients):
         name = f"be-{i}"
         clients.append(RestartingTrainingClient(
             h.sim, h.ctx(name, False, "training"), train_plan, device_spec,
-            name, horizon=duration,
+            name, horizon=p.duration,
             ctx_factory=lambda n=name: h.ctx(n, False, "training"),
             ledger=h.ledger,
         ))
@@ -121,12 +100,12 @@ def simulate(
     be.start()
     for client in clients:
         client.start()
-    accounting = h.run(duration)
+    accounting = h.run(p.duration)
     for entry in injector.log:
         h.ledger.record_injection(entry)
 
     jobs = {c.name: c.stats for c in clients}
-    hp_latency = summarize_latencies(hp.stats.records, after=warmup)
+    hp_latency = summarize_latencies(hp.stats.records, after=p.warmup)
 
     backend_stats: Dict = {}
     if isinstance(be, OrionBackend):

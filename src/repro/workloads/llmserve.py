@@ -42,6 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.experiments.params import LLM_BACKENDS, LlmParams
 from repro.frameworks.module import Namer
 from repro.frameworks.specbuild import FP32_BYTES
 from repro.gpu.errors import CudaErrorCode
@@ -581,9 +582,6 @@ class LlmServeResult:
                    for stats in self.jobs.values())
 
 
-#: Backends the LLM serving scenario runs on (one shared device).
-_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
-
 
 def _summarize(values: List[float]) -> LatencySummary:
     if not values:
@@ -596,28 +594,7 @@ def _summarize(values: List[float]) -> LatencySummary:
     )
 
 
-def simulate(
-    seed: int = 0,
-    duration: float = 0.2,
-    model: str = "llm-small",
-    device: str = "V100-16GB",
-    backend: str = "orion",
-    request_rate: float = 80.0,
-    prompt_mean: float = 64.0,
-    prompt_cap: int = 256,
-    output_mean: float = 8.0,
-    output_cap: int = 64,
-    max_batch: int = 8,
-    kv_budget_mb: Optional[float] = None,
-    kv_block_tokens: int = 16,
-    cache_policy: str = "evict",
-    be_model: str = "mobilenet_v2",
-    be_clients: int = 1,
-    protect_prefill: bool = True,
-    ttft_slo_mult: float = 3.0,
-    warmup: float = 0.0,
-    telemetry=None,
-) -> LlmServeResult:
+def simulate(p: LlmParams) -> LlmServeResult:
     """Run the continuous-batching LLM serving scenario.
 
     One high-priority :class:`ContinuousBatchingEngine` serves Poisson
@@ -635,22 +612,8 @@ def simulate(
     from repro.workloads.clients import TrainingClient
     from repro.workloads.registry import build_plan, get_workload
 
-    if be_clients < 0:
-        raise ValueError("be_clients must be >= 0")
-    if request_rate <= 0:
-        raise ValueError("request_rate must be positive")
-    if ttft_slo_mult <= 0:
-        raise ValueError("ttft_slo_mult must be positive")
-    if kv_budget_mb is not None and kv_budget_mb <= 0:
-        raise ValueError("kv_budget_mb must be positive")
-
-    workload = get_workload(model)
-    config: LlmConfig = getattr(workload, "config", None)
-    if config is None:
-        raise ValueError(f"workload {model!r} is not an LLM workload; "
-                         "kind='llm' scenarios need one (e.g. 'llm-small')")
-
-    h = Harness(seed, device, telemetry)
+    config: LlmConfig = get_workload(p.model).config
+    h = Harness(p.seed, p.device, p.telemetry)
     sim, device_spec, ledger = h.sim, h.device_spec, h.ledger
 
     # Reference latencies from the lowering, used for the Orion duration
@@ -660,32 +623,32 @@ def simulate(
     # bound must cover a worst-case prompt arriving behind a step.
     prefill_ref = sum(
         instantiate_kernel(s, device_spec).duration
-        for s in _prefill_specs(config, 1, _bucket(prompt_cap),
+        for s in _prefill_specs(config, 1, _bucket(p.prompt_cap),
                                 Namer(f"{config.name}-ref/prefill")))
     decode_ref = sum(
         instantiate_kernel(s, device_spec).duration
-        for s in _decode_step_specs(config, 1, _bucket(int(prompt_mean)),
+        for s in _decode_step_specs(config, 1, _bucket(int(p.prompt_mean)),
                                     Namer(f"{config.name}-ref/decode")))
-    ttft_slo = ttft_slo_mult * prefill_ref
+    ttft_slo = p.ttft_slo_mult * prefill_ref
 
     be_plan = None
-    if be_clients:
-        h.store.add(get_profile(be_model, "training", device_spec))
-        be_plan = build_plan(be_model, "training")
+    if p.be_clients:
+        h.store.add(get_profile(p.be_model, "training", device_spec))
+        be_plan = build_plan(p.be_model, "training")
 
-    be_backend = h.build_backend(backend, dict(
+    be_backend = h.build_backend(p.backend, dict(
         fallback_hp_latency=decode_ref,
-        protect_prefill=protect_prefill,
-    ), choices=_BACKENDS, record_utilization=h.tracer.enabled)
+        protect_prefill=p.protect_prefill,
+    ), choices=LLM_BACKENDS, record_utilization=h.tracer.enabled)
 
     # Enforce the KV budget with real memory: reserve everything beyond
     # (weights + best-effort state + budget), so cache growth past the
     # budget faults through the ordinary cudaMalloc OOM path.
-    if kv_budget_mb is not None:
-        budget = int(kv_budget_mb * 2**20)
+    if p.kv_budget_mb is not None:
+        budget = int(p.kv_budget_mb * 2**20)
         resident = FP32_BYTES * config.params
         if be_plan is not None:
-            resident += be_clients * be_plan.state_bytes
+            resident += p.be_clients * be_plan.state_bytes
         memory = be_backend.device.memory
         blocker = memory.free - resident - budget
         if blocker > 0:
@@ -693,22 +656,22 @@ def simulate(
 
     engine = ContinuousBatchingEngine(
         sim, h.ctx("llm", True, "inference"), config, device_spec,
-        PoissonArrivals(request_rate, h.rng.stream("llm:arrivals")),
+        PoissonArrivals(p.request_rate, h.rng.stream("llm:arrivals")),
         prompt_rng=h.rng.stream("llm:prompts"),
         output_rng=h.rng.stream("llm:outputs"),
-        horizon=duration, max_batch=max_batch,
-        prompt_mean=prompt_mean, prompt_cap=prompt_cap,
-        output_mean=output_mean, output_cap=output_cap,
-        kv_block_tokens=kv_block_tokens, cache_policy=cache_policy,
-        warmup=warmup, ledger=ledger,
+        horizon=p.duration, max_batch=p.max_batch,
+        prompt_mean=p.prompt_mean, prompt_cap=p.prompt_cap,
+        output_mean=p.output_mean, output_cap=p.output_cap,
+        kv_block_tokens=p.kv_block_tokens, cache_policy=p.cache_policy,
+        warmup=p.warmup, ledger=ledger,
     )
 
     be_jobs: List[TrainingClient] = []
-    for i in range(be_clients):
+    for i in range(p.be_clients):
         name = f"be-{i}"
         be_jobs.append(TrainingClient(
             sim, h.ctx(name, False, "training"), be_plan, device_spec,
-            name, horizon=duration, ledger=ledger))
+            name, horizon=p.duration, ledger=ledger))
 
     be_backend.start()
     # Best-effort clients start first so their resident state lands
@@ -717,18 +680,18 @@ def simulate(
     for job in be_jobs:
         job.start()
     engine.start()
-    accounting = h.run(duration)
+    accounting = h.run(p.duration)
 
-    after = warmup
+    after = p.warmup
     ttfts = [r.ttft for r in engine.records
              if r.ttft is not None and r.arrival >= after]
     tpots = [r.tpot for r in engine.records
              if r.tpot is not None and r.arrival >= after]
-    span = max(sim.now - warmup, 1e-12)
+    span = max(sim.now - p.warmup, 1e-12)
     total_tokens = engine.decode_tokens + engine.prefill_tokens
 
     backend_stats: Dict = {}
-    if backend == "orion":
+    if p.backend == "orion":
         backend_stats = {
             "be_kernels_launched": be_backend.be_kernels_launched,
             "be_kernels_deferred": be_backend.be_kernels_deferred,
@@ -739,8 +702,8 @@ def simulate(
         }
 
     return LlmServeResult(
-        model=model,
-        backend=backend,
+        model=p.model,
+        backend=p.backend,
         ttft=_summarize(ttfts),
         tpot=_summarize(tpots),
         decode_tokens_per_sec=engine.decode_tokens / span,

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.scheduler import OrionBackend, OrionConfig
+from repro.experiments.params import FaultsParams, OverloadParams
 from repro.experiments.registry import (
     SCENARIOS,
     inf_train_config,
@@ -46,19 +47,20 @@ class TestScenarioDataclass:
         config = inf_train_config("resnet50", "mobilenet_v2", "orion",
                                   duration=0.8, seed=7)
         exp = Scenario(kind="experiment", experiment=config)
-        assert exp.seed == 7 and exp.duration == 0.8
+        assert exp.config is config
+        assert exp.seed == 7 and exp.config.duration == 0.8
         ovl = Scenario(kind="overload", params={"seed": 3, "duration": 0.1})
-        assert ovl.seed == 3 and ovl.duration == 0.1
-        # Absent params mean "implementation default".
-        assert Scenario(kind="faults").duration is None
-        assert Scenario(kind="faults").seed == 0
+        assert ovl.config == OverloadParams(seed=3, duration=0.1)
+        assert ovl.seed == 3 and ovl.config.duration == 0.1
+        # Absent params mean the typed surface's defaults; params stays
+        # the sparse override dict.
+        faults = Scenario(kind="faults")
+        assert faults.params == {}
+        assert faults.config == FaultsParams()
+        assert faults.seed == 0 and faults.config.duration == 0.2
 
     def test_name_defaults_to_kind(self):
         assert Scenario(kind="overload").name == "overload"
-
-    def test_describe_mentions_seed(self):
-        assert "seed=5" in Scenario(kind="overload",
-                                    params={"seed": 5}).describe()
 
 
 class TestRun:
@@ -152,6 +154,19 @@ class TestFaultPlanValidation:
             run(Scenario(kind="faults",
                          params={"duration": 0.05, "be_clients": 1,
                                  "plan": plan}))
+
+    def test_default_plan_target_checked_at_construction(self):
+        # The default plan kills be-0, which a scenario without
+        # best-effort clients does not have.
+        with pytest.raises(ValueError, match="unknown client 'be-0'"):
+            Scenario(kind="faults", params={"be_clients": 0})
+        with pytest.raises(ValueError, match="unknown client 'be-0'"):
+            make_scenario("faults", be_clients=0)
+        # An empty plan needs no best-effort client.
+        from repro.faults.plan import FaultPlan
+
+        Scenario(kind="faults", params={"be_clients": 0,
+                                        "plan": FaultPlan(())})
 
 
 class TestBackendOptions:

@@ -427,6 +427,7 @@ class TestEndToEnd:
                 for name, overrides, needle in (
                         ("overload", {"model": "alexnet"}, "alexnet"),
                         ("faults", {"device": "H100"}, "H100"),
+                        ("faults", {"be_clients": 0}, "be-0"),
                         ("fleet", {"model": "llm-small"}, "llm-small"),
                         ("llm", {"model": "resnet50"}, "LLM workload"),
                         ("llm", {"be_model": "alexnet"}, "alexnet")):

@@ -5,12 +5,12 @@ import pytest
 
 from repro.experiments.params import (
     PARAM_TYPES,
-    FleetParams,
     LlmParams,
     OverloadParams,
     validate_params,
 )
 from repro.experiments.scenario import Scenario
+from repro.faults.plan import FaultPlan, GpuCrash, KillClient
 from repro.workloads.models import MODEL_NAMES
 from repro.workloads.models.llm import LLM_SMALL
 from repro.workloads.models.zoo import get_plan
@@ -145,6 +145,13 @@ class TestTypedParams:
         ("faults", {"backend": "mps"}, "backend must be one of"),
         ("fleet", {"backend": "mps"}, "backend must be one of"),
         ("fleet", {"placement": "random"}, "placement must be one of"),
+        ("fleet", {"placement": 3}, "placement must be one of"),
+        ("faults", {"plan": []}, "plan must be a FaultPlan"),
+        ("fleet", {"plan": []}, "plan must be a FaultPlan"),
+        ("fleet", {"num_gpus": 2, "plan": FaultPlan(
+            (KillClient("hp", at_time=0.01),))}, "only GPU-level"),
+        ("fleet", {"num_gpus": 2, "plan": FaultPlan(
+            (GpuCrash(5, at_time=0.01),))}, "has only 2 GPUs"),
     ])
     def test_names_resolve_at_construction(self, kind, params, match):
         with pytest.raises(ValueError, match=match):
@@ -157,23 +164,5 @@ class TestTypedParams:
             make_scenario("train-train", hp="alexnet")
         with pytest.raises(ValueError, match="device must be one of"):
             make_scenario("inf-train", device="H100")
-
-    def test_fleet_surface_matches_implementation(self):
-        import inspect
-
-        from repro.cluster.fleet import simulate
-
-        impl = set(inspect.signature(simulate).parameters)
-        typed = {f.name for f in
-                 __import__("dataclasses").fields(FleetParams)}
-        assert typed == impl
-
-    def test_llm_surface_matches_implementation(self):
-        import inspect
-
-        from repro.workloads.llmserve import simulate
-
-        impl = set(inspect.signature(simulate).parameters)
-        typed = {f.name for f in
-                 __import__("dataclasses").fields(LlmParams)}
-        assert typed == impl
+        with pytest.raises(ValueError, match="backend must be one of"):
+            make_scenario("inf-train", backend="nosuch")
