@@ -32,7 +32,7 @@ from repro.runtime.backend import (
     UnknownClientError,
 )
 from repro.sim.engine import Simulator
-from repro.sim.process import Signal, spawn
+from repro.sim.process import Signal
 
 __all__ = ["ReefBackend", "REEF_QUEUE_SIZE"]
 
@@ -74,7 +74,9 @@ class ReefBackend(Backend):
         self._be: Dict[str, _BeState] = {}
         self._be_order: List[str] = []
         self._rr_index = 0
-        self._wake = Signal(sim)
+        # Direct-call scheduler, as in OrionBackend: wakes before the
+        # first sweep and during a sweep are absorbed.
+        self._idle = False
         self._started = False
         self.be_kernels_launched = 0
         self.device.tracer = self.tracer
@@ -100,7 +102,7 @@ class ReefBackend(Backend):
     def start(self) -> None:
         if not self._started:
             self._started = True
-            spawn(self.sim, self._run_scheduler(), "reef-scheduler")
+            self.sim.call_in(0.0, self._sweep)
 
     def submit(self, client_id: str, op: Op) -> Signal:
         # Hot path: direct dict lookup (client_info adds a call frame).
@@ -127,7 +129,7 @@ class ReefBackend(Backend):
                           "client deregistered with ops pending",
                           client_id=client_id, time=self.sim.now)
         # Repair scheduler bookkeeping before any signal fires: a
-        # triggered signal can resume the scheduler synchronously, and
+        # triggered signal can run a scheduler sweep synchronously, and
         # it must never observe the dead client in its state.
         if client_id == self._hp_client_id:
             hp_queue, hp_stream = self._hp_queue, self._hp_stream
@@ -149,8 +151,8 @@ class ReefBackend(Backend):
         self._wake_scheduler()
 
     def _wake_scheduler(self) -> None:
-        if not self._wake.triggered:
-            self._wake.trigger()
+        if self._idle:
+            self._sweep()
 
     @property
     def hp_pending(self) -> bool:
@@ -171,28 +173,27 @@ class ReefBackend(Backend):
                     break
         return max(0, self.device.spec.num_sms - reserved)
 
-    def _run_scheduler(self):
-        while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                # HP bypass: drain the HP queue first, always.
-                while self.hp_pending:
-                    op, done = self._hp_queue.pop()
-                    inner = self._hp_stream.submit(op)
-                    inner.add_callback(
-                        lambda sig, d=done: d.trigger(sig.value, error=sig.error))
-                    self._watch(inner)
+    def _sweep(self) -> None:
+        self._idle = False
+        progressed = True
+        while progressed:
+            progressed = False
+            # HP bypass: drain the HP queue first, always.
+            while self.hp_pending:
+                op, done = self._hp_queue.pop()
+                inner = self._hp_stream.submit(op)
+                inner.add_callback(
+                    lambda sig, d=done: d.trigger(sig.value, error=sig.error))
+                self._watch(inner)
+                progressed = True
+            for offset in range(len(self._be_order)):
+                client_id = self._be_order[(self._rr_index + offset)
+                                           % len(self._be_order)]
+                if self._try_launch_be(client_id):
+                    self._rr_index = (self._rr_index + offset + 1) \
+                        % len(self._be_order)
                     progressed = True
-                for offset in range(len(self._be_order)):
-                    client_id = self._be_order[(self._rr_index + offset)
-                                               % len(self._be_order)]
-                    if self._try_launch_be(client_id):
-                        self._rr_index = (self._rr_index + offset + 1) \
-                            % len(self._be_order)
-                        progressed = True
-            self._wake = Signal(self.sim)
-            yield self._wake
+        self._idle = True
 
     def _try_launch_be(self, client_id: str) -> bool:
         state = self._be[client_id]

@@ -385,6 +385,7 @@ class MigrationController:
         # cordon: no new dispatches to the source while we move.
         router.cordon(tenant, src)
         self._transition(record, "cordoned")
+        closed = False
         try:
             worker = fleet.gpus[src].workers.get(tenant)
             if worker is None or worker.dead:
@@ -437,9 +438,15 @@ class MigrationController:
                 return
 
             self._finish(record, "completed", dst)
+        except GeneratorExit:
+            # Closed by garbage collection after the run ended (see
+            # HostGil.hold): a dead fleet is not pumped.
+            closed = True
+            raise
         finally:
-            router.uncordon(tenant, src)
-            router.pump()
+            if not closed:
+                router.uncordon(tenant, src)
+                router.pump()
 
     def _unwind(self, record: MigrationRecord, src: int):
         """Destination unusable mid-move: go back (or somewhere healthy).

@@ -1,7 +1,7 @@
 """The Orion scheduler backend (paper §5, Listing 1).
 
 Clients' GPU operations are intercepted into per-client software
-queues.  A scheduler process drains them:
+queues.  A scheduler sweep, run on every wake, drains them:
 
 * high-priority kernels are forwarded immediately to a dedicated
   high-priority CUDA stream;
@@ -168,7 +168,11 @@ class OrionBackend(Backend):
         # The HP side of be_block_reason's inputs, taken once per
         # round-robin sweep (see _snapshot_hp).
         self._hp_snapshot: Optional[tuple] = None
-        self._wake = Signal(sim)
+        # The scheduler is a direct call, :meth:`_sweep`, run on every
+        # wake.  ``_idle`` is False until start()'s first sweep and
+        # while a sweep runs, so those wakes are absorbed: the running
+        # sweep re-examines the queues until nothing moves.
+        self._idle = False
         self._started = False
         # EWMA of observed HP request latency (used when no profiled
         # latency was supplied).
@@ -240,7 +244,7 @@ class OrionBackend(Backend):
     def start(self) -> None:
         if not self._started:
             self._started = True
-            spawn(self.sim, self._run_scheduler(), "orion-scheduler")
+            self.sim.call_in(0.0, self._sweep)
             if self.config.watchdog_multiple is not None:
                 spawn(self.sim, self._run_watchdog(), "orion-watchdog")
 
@@ -333,9 +337,9 @@ class OrionBackend(Backend):
                           "client deregistered with ops pending",
                           client_id=client_id, time=self.sim.now)
         # Scheduler bookkeeping is repaired *before* any signal fires:
-        # triggering a drained/destroyed op's signal can resume the
-        # scheduler process synchronously, and it must never observe the
-        # dead client in its round-robin order or HP slot.
+        # triggering a drained/destroyed op's signal can run a scheduler
+        # sweep synchronously, and it must never observe the dead client
+        # in its round-robin order or HP slot.
         if client_id == self._hp_client_id:
             hp_queue, hp_stream = self._hp_queue, self._hp_stream
             self._hp_queue = None
@@ -421,8 +425,8 @@ class OrionBackend(Backend):
         return self._be_state(client_id).stream
 
     def _wake_scheduler(self) -> None:
-        if not self._wake.triggered:
-            self._wake.trigger()
+        if self._idle:
+            self._sweep()
 
     def _wake_watchdog(self) -> None:
         if not self._watchdog_wake.triggered:
@@ -482,35 +486,34 @@ class OrionBackend(Backend):
             return self._current_hp.profile
         return None
 
-    def _run_scheduler(self):
-        """Listing 1's run_scheduler, event-driven instead of busy-polling."""
-        while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                # High-priority ops: forward immediately, in order.
-                while self._hp_queue is not None and len(self._hp_queue):
-                    op, done = self._hp_queue.pop()
-                    inner = self._hp_stream.submit(op)
-                    self._chain(inner, done)
-                    self._current_hp = op
-                    self._watch_stream(inner)
+    def _sweep(self) -> None:
+        """Listing 1's run_scheduler, event-driven instead of busy-polling:
+        one pass per wake, repeated until no queue makes progress."""
+        self._idle = False
+        progressed = True
+        while progressed:
+            progressed = False
+            # High-priority ops: forward immediately, in order.
+            while self._hp_queue is not None and len(self._hp_queue):
+                op, done = self._hp_queue.pop()
+                inner = self._hp_stream.submit(op)
+                self._chain(inner, done)
+                self._current_hp = op
+                self._watch_stream(inner)
+                progressed = True
+            # Best-effort clients: round-robin.  Launching one changes
+            # no HP-side input, so one snapshot serves the whole sweep.
+            if self._be_order:
+                self._snapshot_hp()
+            for offset in range(len(self._be_order)):
+                client_id = self._be_order[(self._rr_index + offset)
+                                           % len(self._be_order)]
+                if self._try_launch_be(client_id):
+                    self._rr_index = (self._rr_index + offset + 1) \
+                        % len(self._be_order)
                     progressed = True
-                # Best-effort clients: round-robin.  Launching one
-                # changes no HP-side input, so one snapshot serves the
-                # whole sweep.
-                if self._be_order:
-                    self._snapshot_hp()
-                for offset in range(len(self._be_order)):
-                    client_id = self._be_order[(self._rr_index + offset)
-                                               % len(self._be_order)]
-                    if self._try_launch_be(client_id):
-                        self._rr_index = (self._rr_index + offset + 1) \
-                            % len(self._be_order)
-                        progressed = True
-            # Sleep until new work or a completion changes the world.
-            self._wake = Signal(self.sim)
-            yield self._wake
+        # Sleep until new work or a completion changes the world.
+        self._idle = True
 
     def _hp_transfer_done(self) -> None:
         self._hp_transfers_active -= 1

@@ -17,6 +17,9 @@ dataclass from it with the defaults filled in.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import typing
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, Mapping, Optional
 
@@ -44,8 +47,31 @@ _OVERLOAD_ARRIVALS = ("poisson", "burst", "ramp")
 _PLACEMENTS = ("all", "plan", "adversarial")
 
 
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> Dict[str, Any]:
+    return typing.get_type_hints(cls)
+
+
+def _type_ok(value, hint) -> bool:
+    """Whether ``value`` fits a field annotated ``hint``: an int fills a
+    float field, a bool fills neither a float nor an int field."""
+    if hint is object:
+        return True
+    if typing.get_origin(hint) is typing.Union:
+        return any(_type_ok(value, arg) for arg in typing.get_args(hint))
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) \
+        else str(hint).replace("typing.", "")
+
+
 class _ParamsBase:
-    """Shared machinery: sparse rendering + common range checks."""
+    """Shared machinery: sparse rendering, type and range checks."""
 
     def to_params(self) -> Dict[str, Any]:
         """Sparse params dict: only fields that differ from defaults."""
@@ -56,6 +82,15 @@ class _ParamsBase:
             if default is MISSING or value != default:
                 out[f.name] = value
         return out
+
+    def _check_types(self) -> None:
+        """Reject a knob whose value does not match its annotation, so
+        ``be_clients=1.5`` fails at construction, not inside the run."""
+        for name, hint in _field_types(type(self)).items():
+            value = getattr(self, name)
+            if not _type_ok(value, hint):
+                raise ValueError(f"{name} must be {_type_name(hint)}, "
+                                 f"got {value!r}")
 
     def _require_positive(self, *names: str) -> None:
         for name in names:
@@ -124,6 +159,7 @@ class OverloadParams(_ParamsBase):
     telemetry: Optional[object] = None
 
     def __post_init__(self):
+        self._check_types()
         self._require_positive("duration", "hp_load", "slo_mult",
                                "deadline_mult", "queue_depth",
                                "initial_dur_frac")
@@ -152,6 +188,7 @@ class FaultsParams(_ParamsBase):
     def __post_init__(self):
         from repro.faults.plan import KillClient
 
+        self._check_types()
         self._require_positive("duration", "hp_rps", "watchdog_multiple")
         self._require_non_negative("be_clients", "warmup")
         self._require_choice("backend", SHARED_GPU_BACKENDS)
@@ -211,6 +248,8 @@ class FleetParams(_ParamsBase):
     measure_min_samples: int = 8
 
     def __post_init__(self):
+        self._check_types()
+        self._require_tenants()
         self._require_positive("duration", "num_gpus", "slowdown",
                                "recover_after", "rebalance_interval",
                                "max_tenants_per_gpu", "measure_window",
@@ -244,6 +283,16 @@ class FleetParams(_ParamsBase):
                     f"fault plan targets gpu {self.plan.max_gpu_index()} but "
                     f"the fleet has only {self.num_gpus} GPUs")
 
+    def _require_tenants(self) -> None:
+        if self.tenants is None:
+            return
+        from repro.cluster.fleet import TenantSpec
+
+        if not isinstance(self.tenants, (list, tuple)) or not all(
+                isinstance(t, TenantSpec) for t in self.tenants):
+            raise ValueError(f"tenants must be a sequence of TenantSpec, "
+                             f"got {self.tenants!r}")
+
 
 @dataclass(frozen=True)
 class LlmParams(_ParamsBase):
@@ -271,6 +320,7 @@ class LlmParams(_ParamsBase):
     telemetry: Optional[object] = None
 
     def __post_init__(self):
+        self._check_types()
         self._require_positive("duration", "request_rate", "prompt_mean",
                                "prompt_cap", "output_mean", "output_cap",
                                "max_batch", "kv_budget_mb",

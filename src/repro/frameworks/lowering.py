@@ -16,10 +16,10 @@ the profiler's "unknown" class, matching the paper's §5.2 observation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Union
 
-from repro.kernels.costmodel import instantiate_kernel
+from repro.kernels.costmodel import kernel_costs
 from repro.kernels.kernel import KernelOp, KernelSpec, MemoryOp, MemoryOpKind
 
 from .module import Module, Namer
@@ -61,6 +61,10 @@ class OpPlan:
     # Resident GPU state: weights (+ gradients and optimizer moments for
     # training) plus a coarse activation-footprint estimate.
     state_bytes: int = 0
+    # device -> per-op kernel_costs tuples (None for copies), filled by
+    # instantiate_plan on a plan's first launch on that device.
+    _costs: Dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def kernel_count(self) -> int:
@@ -133,19 +137,24 @@ def instantiate_plan(plan: OpPlan, device, client_id: Optional[str] = None,
     """Bind a plan to a device: concrete ops ready to launch.
 
     Each call creates fresh op objects (they carry per-launch identity),
-    so a client calls this once per request/iteration.
+    so a client calls this once per request/iteration.  The roofline
+    costs of the plan's kernels are derived once per device and kept on
+    the plan.
     """
+    costs = plan._costs.get(device)
+    if costs is None:
+        costs = [None if planned.is_copy else kernel_costs(planned.spec, device)
+                 for planned in plan.ops]
+        plan._costs[device] = costs
     result: List[Union[KernelOp, MemoryOp]] = []
-    for planned in plan.ops:
-        if planned.is_copy:
+    for planned, cost in zip(plan.ops, costs):
+        if cost is None:
             result.append(
                 MemoryOp(kind=planned.copy_kind, nbytes=planned.copy_bytes,
                          client_id=client_id, blocking=not async_copies,
                          tag=planned.phase)
             )
         else:
-            result.append(
-                instantiate_kernel(planned.spec, device, client_id=client_id,
-                                   tag=planned.phase)
-            )
+            result.append(KernelOp(planned.spec, *cost, client_id=client_id,
+                                   tag=planned.phase))
     return result

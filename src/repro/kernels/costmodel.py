@@ -36,7 +36,7 @@ from .launch import sm_needed
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.specs import DeviceSpec
 
-__all__ = ["instantiate_kernel", "solo_duration", "occupancy_factor"]
+__all__ = ["instantiate_kernel", "kernel_costs", "solo_duration", "occupancy_factor"]
 
 # A kernel reaches full compute throughput once its grid supplies about
 # one thread block per SM (each block carries enough ILP to keep the
@@ -61,13 +61,11 @@ def solo_duration(spec: KernelSpec, device: "DeviceSpec") -> float:
     return max(t_compute, t_memory, 0.0) + device.kernel_min_duration
 
 
-def instantiate_kernel(
-    spec: KernelSpec,
-    device: "DeviceSpec",
-    client_id: Optional[str] = None,
-    tag: str = "",
-) -> KernelOp:
-    """Materialize one launch of ``spec`` on ``device``."""
+def kernel_costs(spec: KernelSpec, device: "DeviceSpec") -> tuple:
+    """The device-specific fields of a launch of ``spec`` on ``device``:
+    ``(duration, compute_util, memory_util, sm_needed, profile)``, in
+    :class:`KernelOp`'s field order.  A pure function of its arguments,
+    so callers that launch the same spec repeatedly may keep it."""
     duration = solo_duration(spec, device)
     compute_util = min(1.0, spec.flops / duration / device.peak_flops)
     memory_util = min(1.0, spec.bytes_moved / duration / device.memory_bandwidth)
@@ -77,13 +75,15 @@ def instantiate_kernel(
         memory_util,
         roofline_available=duration >= device.roofline_min_duration,
     )
-    return KernelOp(
-        spec=spec,
-        duration=duration,
-        compute_util=compute_util,
-        memory_util=memory_util,
-        sm_needed=sms,
-        profile=profile,
-        client_id=client_id,
-        tag=tag,
-    )
+    return duration, compute_util, memory_util, sms, profile
+
+
+def instantiate_kernel(
+    spec: KernelSpec,
+    device: "DeviceSpec",
+    client_id: Optional[str] = None,
+    tag: str = "",
+) -> KernelOp:
+    """Materialize one launch of ``spec`` on ``device``."""
+    return KernelOp(spec, *kernel_costs(spec, device),
+                    client_id=client_id, tag=tag)

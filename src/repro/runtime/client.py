@@ -36,7 +36,10 @@ __all__ = ["ClientContext"]
 
 # Prune already-triggered completion signals once the outstanding list
 # exceeds this length, so long-running clients don't accumulate every
-# signal between synchronize() calls.
+# signal between synchronize() calls.  After a prune the next one waits
+# until the list is twice its survivors (at least this floor), so a
+# client with many ops in flight pays O(1) amortized per issue instead
+# of a full rescan.
 _PRUNE_THRESHOLD = 32
 
 
@@ -59,6 +62,7 @@ class ClientContext:
         self.tracer = backend.tracer
         self.info = backend.register_client(client_id, high_priority, kind)
         self._outstanding: List[Signal] = []
+        self._prune_at = _PRUNE_THRESHOLD
         self.ops_issued = 0
         self.closed = False
         # Sticky-error state (None while healthy).
@@ -98,6 +102,7 @@ class ClientContext:
         can issue work again.  Error history is retained."""
         self._error = None
         self._outstanding = []
+        self._prune_at = _PRUNE_THRESHOLD
 
     def close(self, error: Optional[CudaError] = None) -> None:
         """Tear the client down: deregister from the backend (draining
@@ -174,8 +179,9 @@ class ClientContext:
         done = self.backend.submit(self.client_id, op)
         self.ops_issued += 1
         done.add_callback(self._observe_completion)
-        if len(self._outstanding) > _PRUNE_THRESHOLD:
+        if len(self._outstanding) > self._prune_at:
             self._outstanding = [s for s in self._outstanding if not s.triggered]
+            self._prune_at = max(_PRUNE_THRESHOLD, 2 * len(self._outstanding))
         self._outstanding.append(done)
         for hook in list(self._op_hooks):
             hook(self.ops_issued)
@@ -228,6 +234,7 @@ class ClientContext:
         """Wait for every op this client has issued (cudaStreamSynchronize)."""
         pending = [s for s in self._outstanding if not s.triggered]
         self._outstanding = []
+        self._prune_at = _PRUNE_THRESHOLD
         for signal in pending:
             yield signal
 

@@ -43,8 +43,15 @@ class HostGil:
         yield grant
         try:
             yield Timeout(duration)
-        finally:
+        except GeneratorExit:
+            # Garbage collection is closing the process of a run that
+            # has ended: releasing would resume that dead run's waiters
+            # (and schedule on its simulator) at an arbitrary moment.
+            raise
+        except BaseException:
             self._lock.release()
+            raise
+        self._lock.release()
 
 
 class HostThread:

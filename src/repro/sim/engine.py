@@ -16,6 +16,7 @@ import heapq
 import itertools
 import math
 import threading
+from collections import deque
 from typing import Callable, Optional
 
 __all__ = ["Simulator", "ScheduledEvent", "SimulationError", "RunAborted",
@@ -62,6 +63,14 @@ def get_abort_check() -> Optional[Callable[[], bool]]:
 # fields and never reach the event object.  A dataclass with order=True
 # here costs a Python-level __lt__ per heap comparison — measurably the
 # hottest single line of the simulator before this representation.
+#
+# Events scheduled *at the current time* (about half of all events:
+# zero-delay dispatch passes and process resumes) skip the heap and go
+# to a FIFO ready lane instead.  The lane keeps exact (time, seq) order:
+# the clock only moves forward, so every heap entry at time t was pushed
+# before the clock reached t, i.e. before any lane entry at t.  Both
+# structures are therefore sorted by (time, seq), and taking the heap
+# top whenever its time is <= the lane head's time merges them exactly.
 
 
 class ScheduledEvent:
@@ -101,6 +110,8 @@ class Simulator:
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        # Events scheduled at the clock's time, in scheduling order.
+        self._ready: deque[ScheduledEvent] = deque()
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -125,16 +136,19 @@ class Simulator:
     def call_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated ``time``."""
         now = self._now
-        if not time >= now:  # also catches NaN, which fails every compare
+        if time > now:
+            event = ScheduledEvent(time, callback)
+            heapq.heappush(self._heap, (time, next(self._seq), event))
+            return event
+        if time != now:  # also catches NaN, which fails every compare
             if math.isnan(time):
                 raise SimulationError("cannot schedule an event at NaN time")
             if time < now - 1e-15:
                 raise SimulationError(
                     f"cannot schedule in the past: t={time!r} < now={now!r}"
                 )
-            time = now
-        event = ScheduledEvent(time, callback)
-        heapq.heappush(self._heap, (time, next(self._seq), event))
+        event = ScheduledEvent(now, callback)
+        self._ready.append(event)
         return event
 
     def call_in(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
@@ -147,36 +161,43 @@ class Simulator:
         """Stop the run loop after the current event."""
         self._stopped = True
 
+    def _next_event(self) -> Optional[ScheduledEvent]:
+        """Drop cancelled entries from both fronts and return the next
+        event in (time, seq) order without removing it (None if none)."""
+        heap, ready = self._heap, self._ready
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        while ready and ready[0].cancelled:
+            ready.popleft()
+        if ready and not (heap and heap[0][0] <= ready[0].time):
+            return ready[0]
+        return heap[0][2] if heap else None
+
     def peek(self) -> Optional[float]:
         """Time of the next active event, or None if the calendar is empty."""
-        heap = self._heap
-        while heap:
-            event = heap[0][2]
-            if event.cancelled or event.fired:
-                heapq.heappop(heap)
-            else:
-                return heap[0][0]
-        return None
+        event = self._next_event()
+        return None if event is None else event.time
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when none remain."""
-        heap = self._heap
-        while heap:
-            time, _, event = heapq.heappop(heap)
-            if event.cancelled or event.fired:
-                continue
-            if time < self._now - 1e-15:
-                raise SimulationError("event calendar corrupted: time went backwards")
-            if time > self._now:
-                self._now = time
-            event.fired = True
-            self.events_processed += 1
-            if self._tracer is not None:
-                self._tracer.sim_event(
-                    getattr(event.callback, "__qualname__", "callback"))
-            event.callback()
-            return True
-        return False
+        event = self._next_event()
+        if event is None:
+            return False
+        if self._ready and self._ready[0] is event:
+            self._ready.popleft()
+        else:
+            heapq.heappop(self._heap)
+        if event.time < self._now - 1e-15:
+            raise SimulationError("event calendar corrupted: time went backwards")
+        if event.time > self._now:
+            self._now = event.time
+        event.fired = True
+        self.events_processed += 1
+        if self._tracer is not None:
+            self._tracer.sim_event(
+                getattr(event.callback, "__qualname__", "callback"))
+        event.callback()
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the calendar drains, ``until`` is reached, or
@@ -190,11 +211,13 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
-        # Hot loop: locals for the heap and heappop, single pop per event
-        # (peek-then-step would scan the heap top twice), tracer branch
-        # hoisted out when tracing is off.
+        # Hot loop: locals for the heap, the ready lane and their pops,
+        # one pop per event (peek-then-step would scan each front
+        # twice), tracer branch hoisted out when tracing is off.
         heap = self._heap
         pop = heapq.heappop
+        ready = self._ready
+        popleft = ready.popleft
         tracer = self._tracer
         abort = self._abort_check
         if abort is not None and abort():
@@ -204,15 +227,25 @@ class Simulator:
             while not self._stopped:
                 if max_events is not None and processed >= max_events:
                     break
-                if not heap:
-                    break
-                time, _, event = heap[0]
-                if event.cancelled or event.fired:
+                if ready and not (heap and heap[0][0] <= ready[0].time):
+                    event = ready[0]
+                    if event.cancelled:
+                        popleft()
+                        continue
+                    time = event.time
+                    if until is not None and time > until:
+                        break
+                    popleft()
+                else:
+                    if not heap:
+                        break
+                    time, _, event = heap[0]
+                    if event.cancelled:
+                        pop(heap)
+                        continue
+                    if until is not None and time > until:
+                        break
                     pop(heap)
-                    continue
-                if until is not None and time > until:
-                    break
-                pop(heap)
                 if time < self._now - 1e-15:
                     raise SimulationError(
                         "event calendar corrupted: time went backwards")

@@ -46,7 +46,7 @@ from repro.experiments.params import LLM_BACKENDS, LlmParams
 from repro.frameworks.module import Namer
 from repro.frameworks.specbuild import FP32_BYTES
 from repro.gpu.errors import CudaErrorCode
-from repro.kernels.costmodel import instantiate_kernel
+from repro.kernels.costmodel import instantiate_kernel, kernel_costs
 from repro.kernels.kernel import KernelOp, MemoryOpKind
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary
@@ -261,7 +261,7 @@ class ContinuousBatchingEngine:
         self.requests_completed = 0
         self.requests_failed = 0
         # Kernel-spec caches (per shape bucket, like a real deployment's
-        # one-time per-shape profiles).
+        # one-time per-shape profiles): (spec, kernel_costs) pairs.
         self._decode_specs: Dict = {}
         self._prefill_spec_cache: Dict[int, list] = {}
         self._work = Signal(sim)
@@ -453,27 +453,34 @@ class ContinuousBatchingEngine:
             self.admission_log.append(record.req_id)
             self._pending_prefill.append(_Sequence(record))
 
+    def _costed(self, specs) -> list:
+        """``(spec, kernel_costs)`` pairs, derived once per bucket."""
+        return [(spec, kernel_costs(spec, self.device_spec)) for spec in specs]
+
+    def _launches(self, costed, tag: str) -> List[KernelOp]:
+        client_id = self.ctx.client_id
+        return [KernelOp(spec, *cost, client_id=client_id, tag=tag)
+                for spec, cost in costed]
+
     def _prefill_kernels(self, prompt_bucket: int) -> List[KernelOp]:
-        specs = self._prefill_spec_cache.get(prompt_bucket)
-        if specs is None:
+        costed = self._prefill_spec_cache.get(prompt_bucket)
+        if costed is None:
             namer = Namer(f"{self.config.name}-serve/prefill{prompt_bucket}")
-            specs = _prefill_specs(self.config, 1, prompt_bucket, namer)
-            self._prefill_spec_cache[prompt_bucket] = specs
-        return [instantiate_kernel(spec, self.device_spec,
-                                   self.ctx.client_id, tag="prefill")
-                for spec in specs]
+            costed = self._costed(
+                _prefill_specs(self.config, 1, prompt_bucket, namer))
+            self._prefill_spec_cache[prompt_bucket] = costed
+        return self._launches(costed, "prefill")
 
     def _decode_kernels(self, batch: int, cache_bucket: int) -> List[KernelOp]:
         key = (batch, cache_bucket)
-        specs = self._decode_specs.get(key)
-        if specs is None:
+        costed = self._decode_specs.get(key)
+        if costed is None:
             namer = Namer(
                 f"{self.config.name}-serve/b{batch}/cache{cache_bucket}")
-            specs = _decode_step_specs(self.config, batch, cache_bucket, namer)
-            self._decode_specs[key] = specs
-        return [instantiate_kernel(spec, self.device_spec,
-                                   self.ctx.client_id, tag="decode")
-                for spec in specs]
+            costed = self._costed(
+                _decode_step_specs(self.config, batch, cache_bucket, namer))
+            self._decode_specs[key] = costed
+        return self._launches(costed, "decode")
 
     def _prefill_step(self):
         """Run prefill for every newly joined request (one per request —

@@ -12,6 +12,7 @@ __all__ = [
     "memory_spec",
     "tiny_spec",
     "make_kernel",
+    "track_sweeps",
     "CONV_LIKE",
     "BN_LIKE",
 ]
@@ -79,3 +80,28 @@ BN_LIKE = KernelSpec(
     compute_efficiency=1.0,
     memory_efficiency=0.80,
 )
+
+
+def track_sweeps(backend) -> dict:
+    """Wrap ``backend``'s direct-call scheduler sweep and wake on the
+    instance: the record counts sweeps, their nesting depth and the
+    wakes raised while a sweep runs."""
+    depth = {"now": 0, "max": 0, "sweeps": 0, "inner_wakes": 0}
+    sweep, wake = backend._sweep, backend._wake_scheduler
+
+    def tracked_sweep():
+        depth["now"] += 1
+        depth["sweeps"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        try:
+            sweep()
+        finally:
+            depth["now"] -= 1
+
+    def tracked_wake():
+        depth["inner_wakes"] += depth["now"] > 0
+        wake()
+
+    backend._sweep = tracked_sweep
+    backend._wake_scheduler = tracked_wake
+    return depth

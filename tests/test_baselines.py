@@ -13,7 +13,7 @@ from repro.runtime.host import HostThread
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout, spawn
 
-from helpers import compute_spec, make_kernel, memory_spec
+from helpers import compute_spec, make_kernel, memory_spec, track_sweeps
 
 
 def make(sim, backend_cls, **kwargs):
@@ -310,3 +310,48 @@ def test_ticktock_single_client_not_gated():
     p = spawn(sim, job())
     sim.run()
     assert p.triggered
+
+
+# ----------------------------------------------------------------------
+# REEF-N: wake semantics of the direct-call scheduler
+# ----------------------------------------------------------------------
+def test_reef_no_be_launch_before_the_start_event():
+    sim = Simulator()
+    backend, device = make(sim, ReefBackend)
+    backend.register_client("be", high_priority=False, kind="inference")
+    depth = track_sweeps(backend)
+    first = backend.submit("be", make_kernel(memory_spec("be-0", 5e-5)))
+    backend.start()
+    second = backend.submit("be", make_kernel(memory_spec("be-1", 5e-5)))
+    assert backend.be_kernels_launched == 0 and depth["sweeps"] == 0
+    assert sim.peek() == 0.0
+    assert sim.step()                       # the start event: first sweep
+    assert depth["sweeps"] == 1 and backend.be_kernels_launched == 2
+    sim.run()
+    assert first.ok and second.ok and depth["max"] == 1
+
+
+def test_reef_wakes_inside_a_sweep_do_not_nest():
+    sim = Simulator()
+    backend, device = make(sim, ReefBackend)
+    for i in range(3):
+        backend.register_client(f"be{i}", high_priority=False,
+                                kind="inference")
+    depth = track_sweeps(backend)
+    try_launch = backend._try_launch_be
+
+    def deregister_mid_sweep(client_id):
+        if "be2" in backend.clients:
+            backend.deregister_client("be2")
+        return try_launch(client_id)
+
+    backend._try_launch_be = deregister_mid_sweep
+    dones = [backend.submit(f"be{i}",
+                            make_kernel(memory_spec(f"be{i}-k", 5e-5)))
+             for i in range(3)]
+    backend.start()
+    sim.run()
+    assert depth["inner_wakes"] >= 1 and depth["max"] == 1
+    assert dones[0].ok and dones[1].ok
+    assert dones[2].triggered and dones[2].error is not None
+    assert backend.be_kernels_launched == 2

@@ -97,6 +97,19 @@ def test_run_rejects_bad_set_as_usage_error(item, message, capsys):
         assert "be_clients, be_load" in err  # the valid keys are listed
 
 
+@pytest.mark.parametrize("name,item,message", [
+    ("overload", "be_clients=1.5", "be_clients must be int, got 1.5"),
+    ("fleet", "tenants=[1]", "tenants must be a sequence of TenantSpec"),
+])
+def test_run_rejects_wrong_typed_set_as_usage_error(name, item, message,
+                                                    capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", name, "--set", item])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and message in err
+
+
 def test_run_rejects_unknown_scenario(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "no_such_scenario"])

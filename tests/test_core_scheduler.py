@@ -16,7 +16,7 @@ from repro.runtime.host import HostThread
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout, spawn
 
-from helpers import compute_spec, make_kernel, memory_spec
+from helpers import compute_spec, make_kernel, memory_spec, track_sweeps
 
 
 def store_for(*ops):
@@ -405,3 +405,94 @@ def test_memoized_decisions_match_live_state(monkeypatch, name, overrides,
     run_scenario(make_scenario(name, seed=0, **overrides))
     assert counts["hits"] > 0 and counts["fresh"] > 0
     assert reason in reasons
+
+
+# ----------------------------------------------------------------------
+# Wake semantics of the direct-call scheduler
+# ----------------------------------------------------------------------
+def test_no_be_launch_before_the_start_event():
+    sim = Simulator()
+    ops = [make_kernel(memory_spec(f"be-k{i}", duration=5e-5), client_id="be")
+           for i in range(2)]
+    device = GpuDevice(sim, V100_16GB)
+    backend = OrionBackend(sim, device, store_for(*ops),
+                           OrionConfig(hp_request_latency=10e-3))
+    backend.register_client("be", high_priority=False, kind="inference")
+    depth = track_sweeps(backend)
+    first = backend.submit("be", ops[0])    # a wake before start()
+    backend.start()
+    second = backend.submit("be", ops[1])   # a wake before the start event
+    assert backend.be_kernels_launched == 0 and depth["sweeps"] == 0
+    assert sim.peek() == 0.0
+    assert sim.step()                       # the start event: first sweep
+    assert depth["sweeps"] == 1 and backend.be_kernels_launched >= 1
+    sim.run()
+    assert first.ok and second.ok
+    assert backend.be_kernels_launched == 2 and depth["max"] == 1
+
+
+def test_wakes_inside_a_sweep_do_not_nest():
+    sim = Simulator()
+    ops = [make_kernel(memory_spec(f"be{i}-k", duration=5e-5),
+                       client_id=f"be{i}") for i in range(3)]
+    device = GpuDevice(sim, V100_16GB)
+    backend = OrionBackend(sim, device, store_for(*ops),
+                           OrionConfig(hp_request_latency=10e-3))
+    for i in range(3):
+        backend.register_client(f"be{i}", high_priority=False,
+                                kind="inference")
+    depth = track_sweeps(backend)
+    try_launch = backend._try_launch_be
+
+    def deregister_mid_sweep(client_id):
+        if "be2" in backend.clients:
+            # Drains be2's queue (its signal completes synchronously,
+            # with an error) and wakes the scheduler, all mid-sweep.
+            backend.deregister_client("be2")
+        return try_launch(client_id)
+
+    backend._try_launch_be = deregister_mid_sweep
+    dones = [backend.submit(f"be{i}", op) for i, op in enumerate(ops)]
+    backend.start()
+    sim.run()
+    assert depth["inner_wakes"] >= 1 and depth["max"] == 1
+    assert dones[0].ok and dones[1].ok
+    assert dones[2].triggered and dones[2].error is not None
+    assert backend.be_kernels_launched == 2
+
+
+def test_scheduler_counters_pinned():
+    # Counts of the scheduler's wake semantics: a wake absorbed or
+    # added anywhere moves them.
+    result = run_scenario(make_scenario("overload", seed=0, duration=0.05,
+                                        be_clients=4))
+    stats = result.result.backend_stats
+    assert (stats["be_kernels_launched"], stats["be_kernels_deferred"]) \
+        == (5781, 44569)
+
+    sim = Simulator()
+    hp_op = make_kernel(compute_spec("hp-k", duration=1e-3), client_id="hp")
+    backend, device, hp_ctx, be_ctx = setup_backend(sim, ops=[hp_op])
+
+    def hp_job():
+        for _ in range(5):
+            yield from hp_ctx.begin_request()
+            yield from hp_ctx.launch_kernel(
+                make_kernel(compute_spec("hp-k", duration=1e-3),
+                            client_id="hp"))
+            yield from hp_ctx.synchronize()
+            hp_ctx.end_request()
+            yield Timeout(2e-4)
+
+    def be_job():
+        for i in range(12):
+            yield from be_ctx.launch_kernel(make_kernel(
+                memory_spec(f"unprofiled-{i % 3}", duration=2e-4, blocks=64),
+                client_id="be"))
+        yield from be_ctx.synchronize()
+
+    spawn(sim, hp_job())
+    spawn(sim, be_job())
+    sim.run()
+    assert (backend.be_kernels_launched, backend.be_kernels_deferred,
+            backend.profile_misses) == (12, 22, 34)

@@ -1,5 +1,7 @@
 """Unit tests for the runtime layer: hosts/GIL, client contexts, backends."""
 
+import gc
+
 import pytest
 
 from repro.gpu.device import GpuDevice
@@ -12,7 +14,7 @@ from repro.runtime.host import HostGil, HostThread
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout, spawn
 
-from helpers import compute_spec, make_kernel
+from helpers import compute_spec, make_kernel, memory_spec
 
 
 @pytest.fixture
@@ -69,6 +71,27 @@ def test_gil_serializes_threads(sim):
     # Three 10us launches through one GIL take 30us, not 10us.
     assert max(ends) == pytest.approx(30e-6)
     assert gil.contended_acquisitions >= 2
+
+
+def test_collected_gil_holder_does_not_resume_a_finished_run():
+    # When a finished run's objects are garbage-collected, closing a
+    # process suspended inside the GIL must not hand the GIL to a waiter
+    # and so schedule events on the dead simulator.
+    sim = Simulator()
+    gil = HostGil(sim)
+    scheduled = []
+
+    def launcher(host):
+        while True:
+            yield from host.launch_cost()
+
+    for _ in range(3):
+        spawn(sim, launcher(HostThread(sim, gil=gil, launch_overhead=10e-6)))
+    sim.run(until=15e-6)  # one thread holds the GIL, two wait for it
+    sim.call_at = lambda time, callback: scheduled.append(callback)
+    del sim, gil
+    gc.collect()
+    assert scheduled == []
 
 
 def test_host_time_accounting(sim):
@@ -202,6 +225,67 @@ def test_synchronize_with_nothing_outstanding(sim):
 
     p = drive(sim, run())
     assert p.triggered
+
+
+def test_outstanding_prune_is_bounded_and_amortized(sim):
+    # 200 ops in flight, refilled one per completion: the outstanding
+    # list stays within twice the live ops, and is rebuilt only when it
+    # doubles rather than on every issue.
+    ctx, _ = make_ctx(sim)
+    seen = {"max_ratio_ok": True, "rebuilds": 0, "issues": 0}
+
+    def launch(i):
+        before = ctx._outstanding
+        done = yield from ctx.launch_kernel(
+            make_kernel(memory_spec(f"k{i}", duration=1e-5)))
+        live = sum(not s.triggered for s in ctx._outstanding)
+        if len(ctx._outstanding) > max(32, 2 * live) + 1:
+            seen["max_ratio_ok"] = False
+        seen["rebuilds"] += ctx._outstanding is not before
+        seen["issues"] += 1
+        return done
+
+    def run():
+        dones = []
+        for i in range(200):
+            dones.append((yield from launch(i)))
+        for i in range(200, 1200):
+            yield dones[i - 200]
+            dones.append((yield from launch(i)))
+        yield from ctx.synchronize()
+
+    drive(sim, run())
+    assert seen["issues"] == 1200 and seen["max_ratio_ok"]
+    assert seen["rebuilds"] <= 10
+
+
+def test_synchronize_yields_untriggered_signals_in_issue_order(sim):
+    ctx, _ = make_ctx(sim)
+    observed = {}
+
+    def run():
+        dones = []
+        for i in range(200):
+            dones.append((yield from ctx.launch_kernel(
+                make_kernel(memory_spec(f"k{i}", duration=1e-5)))))
+            if i == 150:
+                yield dones[100]  # let a prefix complete
+        expected = [d for d in dones if not d.triggered]
+        sync = ctx.synchronize()
+        yielded = []
+        try:
+            target = next(sync)
+            while True:
+                yielded.append(target)
+                yield target
+                target = sync.send(None)
+        except StopIteration:
+            pass
+        observed["ok"] = (len(expected) < 200 and len(yielded) == len(expected)
+                          and all(a is b for a, b in zip(yielded, expected)))
+
+    drive(sim, run())
+    assert observed["ok"]
 
 
 # ----------------------------------------------------------------------

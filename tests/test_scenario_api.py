@@ -144,6 +144,22 @@ class TestScenarioCatalog:
             scenario = make_scenario(name, seed=1)
             assert scenario.kind in SCENARIO_KINDS
 
+    @pytest.mark.parametrize("name,overrides,needle", [
+        ("overload", {"be_clients": 1.5}, "be_clients must be int"),
+        ("overload", {"guard": 1}, "guard must be bool"),
+        ("faults", {"hp_rps": "fast"}, "hp_rps must be float"),
+        ("fleet", {"tenants": [1]}, "tenants must be a sequence of TenantSpec"),
+        ("llm", {"max_batch": True}, "max_batch must be int"),
+    ])
+    def test_wrong_typed_knob_rejected_at_construction(self, name, overrides,
+                                                       needle):
+        with pytest.raises(ValueError, match=needle):
+            make_scenario(name, **overrides)
+
+    def test_int_fills_a_float_knob(self):
+        scenario = make_scenario("overload", hp_load=1, deadline_mult=None)
+        assert scenario.config.hp_load == 1
+
 
 class TestFaultPlanValidation:
     def test_unknown_kill_target_rejected(self):

@@ -437,6 +437,18 @@ class TestEndToEnd:
                     assert needle in str(excinfo.value)
                 assert client.status()["jobs"] == []
 
+    def test_submit_rejects_wrong_typed_overrides(self):
+        with serve_daemon(workers=0) as (_, address):
+            with ServeClient(address) as client:
+                for name, overrides, needle in (
+                        ("overload", {"be_clients": 1.5}, "be_clients"),
+                        ("fleet", {"tenants": [1]}, "tenants")):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.submit(name=name, overrides=overrides)
+                    assert excinfo.value.code == "bad_scenario"
+                    assert needle in str(excinfo.value)
+                assert client.status()["jobs"] == []
+
     def test_submit_validation_errors(self):
         with serve_daemon(workers=0) as (_, address):
             with ServeClient(address) as client:
